@@ -7,23 +7,22 @@ from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        is_integral, lattice_member)
 from .obstruction import Report, analyze, twist_consistency
 from .tensor import (TruncTensor, cyclic_N, cyclic_nu, derive, trunc_exp,
-                     trunc_log, trunc_mul)
+                     trunc_log)
 from .wedge import (Wedge2, Wedge3, act2, act3, embed2, embed3, omega, wedge,
                     wedge3)
-from .words import (Word, WordError, boundary_word, commutator, conjugate,
-                    format_word, invert, multiply, parse_word,
-                    random_commutator_element, random_word)
+from .words import (Word, WordError, boundary_word, commutator, format_word,
+                    parse_word, random_commutator_element_rng,
+                    random_word_rng)
 
 __all__ = [
-    "Word", "WordError", "parse_word", "format_word", "multiply", "invert",
-    "conjugate", "commutator", "boundary_word", "random_word",
-    "random_commutator_element",
+    "Word", "WordError", "parse_word", "format_word", "commutator",
+    "boundary_word", "random_word_rng", "random_commutator_element_rng",
     "HVec", "LatticeWitness", "abelianize", "intersection", "lattice_member",
     "is_integral",
     "Wedge2", "Wedge3", "wedge", "act2", "wedge3", "act3", "omega", "embed2",
     "embed3",
     "ell", "ell_of_letters", "obstruction_vector",
-    "TruncTensor", "trunc_mul", "trunc_log", "trunc_exp", "cyclic_nu",
+    "TruncTensor", "trunc_log", "trunc_exp", "cyclic_nu",
     "cyclic_N", "derive", "theta0", "L_theta", "johnson_twist",
     "Report", "analyze", "twist_consistency",
 ]

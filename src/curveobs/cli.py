@@ -61,16 +61,22 @@ def _cmd_analyze(args) -> int:
     if args.pairs is not None:
         with open(args.pairs) as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
-        for line in lines:
+        failed = False
+        for n, line in enumerate(lines, 1):
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise WordError(f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
-            genus = int(fields[0])
-            rep = analyze(genus,
-                          parse_word(fields[1], genus),
-                          parse_word(fields[2], genus))
+            try:
+                if len(fields) != 3:
+                    raise WordError(f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
+                genus = int(fields[0])
+                rep = analyze(genus,
+                              parse_word(fields[1], genus),
+                              parse_word(fields[2], genus))
+            except ValueError as exc:  # WordError included
+                failed = True
+                print(json.dumps({"line": n, "error": str(exc)}))
+                continue
             print(rep.to_json())
-        return 0
+        return 1 if failed else 0
     if args.word_a is None or args.word_b is None:
         raise WordError("analyze needs --a and --b (or --pairs FILE)")
     if args.genus is None:

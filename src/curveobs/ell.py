@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .homology import HVec, abelianize, intersection
 from .wedge import Wedge2, act2, wedge
-from .words import Word
+from .words import Word, check_genus
 
 
 def _letter_ell(genus: int, letter: int) -> Wedge2:
@@ -49,6 +49,5 @@ def ell(w: Word) -> Wedge2:
 
 def obstruction_vector(a: Word, b: Word) -> HVec:
     """ell(a) acting on |b| plus ell(b) acting on |a|."""
-    if a.genus != b.genus:
-        raise ValueError(f"genus mismatch: {a.genus} vs {b.genus}")
+    check_genus(a, b)
     return act2(ell(a), abelianize(b)) + act2(ell(b), abelianize(a))

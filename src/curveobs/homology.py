@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .words import Word
+from .words import Word, check_genus
 
 
 def basis_label(k: int) -> str:
@@ -28,6 +28,25 @@ def basis_pairing(i: int, j: int) -> int:
     if i % 2 == 1 and j % 2 == 0:
         return -1
     return 0
+
+
+def format_terms(terms) -> str:
+    """Signed-sum text of (label, coeff) pairs, e.g. 'X1 - 1/2*Y2'; '0' if
+    there are none. Coefficients must be nonzero."""
+    parts = []
+    for label, c in terms:
+        if c == 1:
+            parts.append(label)
+        elif c == -1:
+            parts.append(f"-{label}")
+        else:
+            parts.append(f"{c}*{label}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,17 +72,12 @@ class HVec:
     def from_coords(cls, genus: int, coords) -> "HVec":
         return cls(genus, tuple(Fraction(c) for c in coords))
 
-    def _check_genus(self, other: "HVec"):
-        if self.genus != other.genus:
-            raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
-
     def __add__(self, other: "HVec") -> "HVec":
-        self._check_genus(other)
+        check_genus(self, other)
         return HVec(self.genus, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HVec") -> "HVec":
-        self._check_genus(other)
-        return HVec(self.genus, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + (-other)
 
     def __neg__(self) -> "HVec":
         return HVec(self.genus, tuple(-a for a in self.coords))
@@ -83,23 +97,8 @@ class HVec:
         }
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if c == 1:
-                term = basis_label(k)
-            elif c == -1:
-                term = "-" + basis_label(k)
-            else:
-                term = f"{c}*{basis_label(k)}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms((basis_label(k), c)
+                            for k, c in enumerate(self.coords) if c != 0)
 
 
 def abelianize(w: Word) -> HVec:
@@ -110,7 +109,7 @@ def abelianize(w: Word) -> HVec:
 
 
 def intersection(u: HVec, v: HVec) -> Fraction:
-    u._check_genus(v)
+    check_genus(u, v)
     total = Fraction(0)
     for j in range(u.genus):
         xi, yi = 2 * j, 2 * j + 1
@@ -149,8 +148,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
     """Decide v in Z*u1 + Z*u2, with an integer witness (m, n) when it holds."""
-    v._check_genus(u1)
-    v._check_genus(u2)
+    check_genus(v, u1)
+    check_genus(v, u2)
     if not (is_integral(u1) and is_integral(u2)):
         raise ValueError("lattice generators must have integer coordinates")
     a = [int(c) for c in u1.coords]

@@ -17,7 +17,7 @@ from .expansion import EXPANSION_NAME, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
 from .tensor import TruncTensor
-from .wedge import Wedge2, embed2, wedge
+from .wedge import Wedge2, act2, embed2, wedge
 from .words import Word, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -46,8 +46,8 @@ class Report:
     expansion: str = EXPANSION_NAME
     disclaimer: str = DISCLAIMER
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "genus": self.genus,
             "a": self.a,
             "b": self.b,
@@ -59,10 +59,7 @@ class Report:
             "verdict": self.verdict,
             "expansion": self.expansion,
             "disclaimer": self.disclaimer,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
     def to_text(self) -> str:
         lines = [
@@ -77,7 +74,8 @@ class Report:
         ]
         if self.v is not None:
             lines.append(f"v = ell(a)|b| + ell(b)|a| : {self.v}")
-            assert self.lattice is not None
+            if self.lattice is None:
+                raise AssertionError("obstruction vector without a lattice decision")
             if self.lattice.member:
                 lines.append(
                     f"lattice    : v = {self.lattice.m}*|a| + {self.lattice.n}*|b|"
@@ -97,7 +95,8 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
     abs_a = abelianize(a)
     abs_b = abelianize(b)
     i_a = intersection(abs_a, abs_b)
-    assert i_a.denominator == 1
+    if i_a.denominator != 1:
+        raise AssertionError(f"algebraic intersection {i_a} is not an integer")
     ell_a = ell(a)
     ell_b = ell(b)
     if i_a != 0:
@@ -105,7 +104,7 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
         witness = None
         verdict = VERDICT_HOMOLOGICAL
     else:
-        v = obstruction_vector(a, b)
+        v = act2(ell_a, abs_b) + act2(ell_b, abs_a)
         witness = lattice_member(v, abs_a, abs_b)
         verdict = VERDICT_INCONCLUSIVE if witness.member else VERDICT_THEOREM
     return Report(

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .homology import HVec, basis_pairing
+from .words import check_genus
 
 
 class TruncTensor:
@@ -57,8 +58,7 @@ class TruncTensor:
     # --- basics --------------------------------------------------------------
 
     def _check(self, other: "TruncTensor"):
-        if self.genus != other.genus:
-            raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
+        check_genus(self, other)
         if self.maxdeg != other.maxdeg:
             raise ValueError(f"degree-bound mismatch: {self.maxdeg} vs {other.maxdeg}")
 
@@ -94,11 +94,7 @@ class TruncTensor:
         self._check(other)
         out = dict(self.terms)
         for s, c in other.terms.items():
-            v = out.get(s, Fraction(0)) + c
-            if v:
-                out[s] = v
-            else:
-                out.pop(s, None)
+            out[s] = out.get(s, 0) + c
         return TruncTensor(self.genus, self.maxdeg, out,
                            known_degree=min(self.known_degree, other.known_degree))
 
@@ -124,20 +120,12 @@ class TruncTensor:
                 if len(s2) > room:
                     continue
                 s = s1 + s2
-                v = out.get(s, Fraction(0)) + c1 * c2
-                if v:
-                    out[s] = v
-                else:
-                    out.pop(s, None)
+                out[s] = out.get(s, 0) + c1 * c2
         return TruncTensor(self.genus, D, out,
                            known_degree=min(self.known_degree, other.known_degree))
 
     def __repr__(self):
         return f"TruncTensor(genus={self.genus}, maxdeg={self.maxdeg}, terms={self.terms!r})"
-
-
-def trunc_mul(u: TruncTensor, v: TruncTensor) -> TruncTensor:
-    return u * v
 
 
 def trunc_log(u: TruncTensor) -> TruncTensor:
@@ -195,8 +183,7 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
     (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
     Truncation follows u; h may carry a higher degree bound.
     """
-    if h.genus != u.genus:
-        raise ValueError(f"genus mismatch: {h.genus} vs {u.genus}")
+    check_genus(h, u)
     if h.constant() != 0:
         raise ValueError("derivation datum must have zero constant term")
     D = u.maxdeg
@@ -210,10 +197,6 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
                 t = s[:p] + hs[1:] + s[p + 1:]
                 if len(t) > D:
                     continue
-                v = out.get(t, Fraction(0)) + c * hc * pairing
-                if v:
-                    out[t] = v
-                else:
-                    out.pop(t, None)
+                out[t] = out.get(t, 0) + c * hc * pairing
     return TruncTensor(u.genus, D, out,
                        known_degree=min(h.known_degree, u.known_degree))

@@ -5,83 +5,62 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .homology import HVec, basis_label, basis_pairing
+from .homology import HVec, basis_label, basis_pairing, format_terms
 from .tensor import TruncTensor
+from .words import check_genus
 
 
-def _norm2(items) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in items:
-        if i == j or c == 0:
-            continue
-        if i > j:
-            i, j, c = j, i, -c
-        v = out.get((i, j), Fraction(0)) + c
-        if v:
-            out[(i, j)] = v
-        else:
-            out.pop((i, j), None)
-    return out
-
-
-def _norm3(items) -> dict[tuple[int, int, int], Fraction]:
-    out: dict[tuple[int, int, int], Fraction] = {}
+def _normalize(items) -> dict[tuple[int, ...], Fraction]:
+    """Sum (index tuple, coeff) items over sorted index tuples, each term
+    signed by its sorting permutation; tuples with a repeated index vanish."""
+    out: dict[tuple[int, ...], Fraction] = {}
     for key, c in items:
-        if c == 0 or len(set(key)) < 3:
+        ordered = tuple(sorted(key))
+        if len(set(ordered)) < len(ordered):
             continue
-        i, j, k = key
-        sign = 1
-        # sort the triple, tracking the permutation sign
-        if i > j:
-            i, j, sign = j, i, -sign
-        if j > k:
-            j, k, sign = k, j, -sign
-        if i > j:
-            i, j, sign = j, i, -sign
-        v = out.get((i, j, k), Fraction(0)) + sign * c
-        if v:
-            out[(i, j, k)] = v
-        else:
-            out.pop((i, j, k), None)
-    return out
+        if sum(p > q for p, q in combinations(key, 2)) % 2:
+            c = -c
+        # not out.get(ordered, 0) + c: int + Fraction takes a slow path
+        out[ordered] = out[ordered] + c if ordered in out else c
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)
-class Wedge2:
+class _Alternating:
+    """An element of an exterior power of homology: sorted index tuples
+    (strictly increasing basis indices) mapped to nonzero rationals."""
     genus: int
-    terms: dict[tuple[int, int], Fraction]
+    terms: dict[tuple[int, ...], Fraction]
 
     @classmethod
-    def make(cls, genus: int, items) -> "Wedge2":
-        return cls(genus, _norm2((k, Fraction(c)) for k, c in items))
+    def make(cls, genus: int, items):
+        return cls(genus, _normalize((k, Fraction(c)) for k, c in items))
 
     @classmethod
-    def zero(cls, genus: int) -> "Wedge2":
+    def zero(cls, genus: int):
         return cls(genus, {})
 
-    def _check_genus(self, other):
-        if self.genus != other.genus:
-            raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
+    def __add__(self, other):
+        check_genus(self, other)
+        return self.make(self.genus, [*self.terms.items(), *other.terms.items()])
 
-    def __add__(self, other: "Wedge2") -> "Wedge2":
-        self._check_genus(other)
-        return Wedge2.make(self.genus,
-                           list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "Wedge2") -> "Wedge2":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self) -> "Wedge2":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, c) -> "Wedge2":
+    def scale(self, c):
         c = Fraction(c)
-        return Wedge2(self.genus, _norm2(((k, c * v) for k, v in self.terms.items())))
+        return self.make(self.genus, [(k, c * v) for k, v in self.terms.items()])
 
     def is_zero(self) -> bool:
         return not self.terms
 
+
+class Wedge2(_Alternating):
     def to_json(self) -> list[dict[str, str]]:
         items = [
             {"basis": f"{basis_label(i)}^{basis_label(j)}", "coeff": str(c)}
@@ -90,52 +69,16 @@ class Wedge2:
         return sorted(items, key=lambda t: t["basis"])
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            label = f"{basis_label(i)}^{basis_label(j)}"
-            if c == 1:
-                parts.append(label)
-            elif c == -1:
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"{c}*{label}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms((f"{basis_label(i)}^{basis_label(j)}", c)
+                            for (i, j), c in sorted(self.terms.items()))
 
 
-@dataclass(frozen=True)
-class Wedge3:
-    genus: int
-    terms: dict[tuple[int, int, int], Fraction]
-
-    @classmethod
-    def make(cls, genus: int, items) -> "Wedge3":
-        return cls(genus, _norm3((k, Fraction(c)) for k, c in items))
-
-    @classmethod
-    def zero(cls, genus: int) -> "Wedge3":
-        return cls(genus, {})
-
-    def __add__(self, other: "Wedge3") -> "Wedge3":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return Wedge3.make(self.genus,
-                           list(self.terms.items()) + list(other.terms.items()))
-
-    def scale(self, c) -> "Wedge3":
-        c = Fraction(c)
-        return Wedge3(self.genus, _norm3(((k, c * v) for k, v in self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+class Wedge3(_Alternating):
+    """Degree-3 elements X^Y^Z, built by `wedge3`, acted on by `act3`."""
 
 
 def wedge(u: HVec, v: HVec) -> Wedge2:
-    u._check_genus(v)
+    check_genus(u, v)
     items = []
     for i, a in enumerate(u.coords):
         if a == 0:
@@ -149,21 +92,16 @@ def wedge(u: HVec, v: HVec) -> Wedge2:
 
 def act2(w: Wedge2, z: HVec) -> HVec:
     """(X^Y)(Z) = (Z.X)Y - (Z.Y)X, extended bilinearly."""
-    w._check_genus(z)
-    out = HVec.zero(w.genus)
+    check_genus(w, z)
+    out = [Fraction(0)] * (2 * w.genus)
     for (i, j), c in w.terms.items():
-        zi = _pair_with_basis(z, i)
-        zj = _pair_with_basis(z, j)
-        if zi:
-            out = out + HVec.basis(w.genus, j).scale(c * zi)
-        if zj:
-            out = out - HVec.basis(w.genus, i).scale(c * zj)
-    return out
+        out[j] += c * _pair_with_basis(z, i)
+        out[i] -= c * _pair_with_basis(z, j)
+    return HVec(w.genus, tuple(out))
 
 
 def wedge3(u: HVec, w: Wedge2) -> Wedge3:
-    if u.genus != w.genus:
-        raise ValueError("genus mismatch")
+    check_genus(u, w)
     items = []
     for i, a in enumerate(u.coords):
         if a == 0:
@@ -175,14 +113,11 @@ def wedge3(u: HVec, w: Wedge2) -> Wedge3:
 
 def act3(t: Wedge3, z: HVec) -> Wedge2:
     """(X^u)(Z) = (Z.X)u - X^(u(Z)) for u in degree two, extended linearly."""
-    if t.genus != z.genus:
-        raise ValueError("genus mismatch")
+    check_genus(t, z)
     out = Wedge2.zero(t.genus)
     for (i, j, k), c in t.terms.items():
         pair = Wedge2.make(t.genus, [((j, k), c)])
-        zi = _pair_with_basis(z, i)
-        if zi:
-            out = out + pair.scale(zi)
+        out = out + pair.scale(_pair_with_basis(z, i))
         acted = act2(pair, z)
         out = out - wedge(HVec.basis(t.genus, i), acted)
     return out

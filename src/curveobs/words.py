@@ -12,8 +12,21 @@ import re
 from dataclasses import dataclass
 
 
+# Inputs past these bounds are rejected with WordError instead of exhausting
+# the interpreter stack or memory. Each bracket level costs the recursive
+# parser two frames, so MAX_NESTING stays well below the recursion limit.
+MAX_NESTING = 200
+MAX_LETTERS = 1_000_000
+
+
 class WordError(ValueError):
     """Invalid word input: bad token, bad index, genus mismatch."""
+
+
+def check_genus(x, y, error=ValueError):
+    """Raise `error` unless x and y live on surfaces of the same genus."""
+    if x.genus != y.genus:
+        raise error(f"genus mismatch: {x.genus} vs {y.genus}")
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -57,14 +70,8 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def _check_genus(self, other: "Word"):
-        if self.genus != other.genus:
-            raise WordError(
-                f"genus mismatch: {self.genus} vs {other.genus}"
-            )
-
     def __mul__(self, other: "Word") -> "Word":
-        self._check_genus(other)
+        check_genus(self, other, WordError)
         return Word.from_letters(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "Word":
@@ -80,28 +87,14 @@ class Word:
 
     def conjugate(self, h: "Word") -> "Word":
         """g.conjugate(h) = g h g^-1."""
-        self._check_genus(h)
         return self * h * self.inverse()
 
     def __str__(self) -> str:
         return format_word(self)
 
 
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def conjugate(g: Word, h: Word) -> Word:
-    return g.conjugate(h)
-
-
 def commutator(g: Word, h: Word) -> Word:
     """[g, h] = g h g^-1 h^-1."""
-    g._check_genus(h)
     return g * h * g.inverse() * h.inverse()
 
 
@@ -152,6 +145,7 @@ class _Parser:
         self.tokens = tokens
         self.genus = genus
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "")
@@ -168,6 +162,7 @@ class _Parser:
             if kind in (None, "comma") or (kind == "close"):
                 return letters
             letters.extend(self.parse_term())
+            _check_length(len(letters))
 
     def parse_term(self) -> list[int]:
         kind, text = self.take()
@@ -184,6 +179,9 @@ class _Parser:
             base = []
         elif kind == "open":
             closing = "]" if text == "[" else ")"
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise WordError(f"brackets nested deeper than {MAX_NESTING}")
             inner = self.parse_word()
             if text == "[":
                 ck, _ = self.take()
@@ -192,6 +190,7 @@ class _Parser:
                 second = self.parse_word()
                 u = reduce_letters(inner)
                 v = reduce_letters(second)
+                _check_length(2 * (len(u) + len(v)))
                 ui = [-l for l in reversed(u)]
                 vi = [-l for l in reversed(v)]
                 base = list(u) + list(v) + ui + vi
@@ -200,6 +199,7 @@ class _Parser:
             ck, ct = self.take()
             if ck != "close" or ct != closing:
                 raise WordError(f"unbalanced bracket, expected {closing!r}")
+            self.depth -= 1
         else:
             raise WordError(f"unexpected token {text!r}")
         return self.apply_exponent(base)
@@ -218,7 +218,13 @@ class _Parser:
         if n < 0:
             base = [-l for l in reversed(base)]
             n = -n
+        _check_length(len(base) * n)
         return base * n
+
+
+def _check_length(n: int):
+    if n > MAX_LETTERS:
+        raise WordError(f"word expands to {n} letters, more than {MAX_LETTERS}")
 
 
 def parse_word(text: str, genus: int) -> Word:
@@ -262,22 +268,12 @@ def random_letters(genus: int, length: int, rng: random.Random) -> list[int]:
     return [rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(length)]
 
 
-def random_word(genus: int, length: int, seed: int) -> Word:
-    rng = random.Random(seed)
-    return Word.from_letters(genus, random_letters(genus, length, rng))
-
-
 def random_word_rng(genus: int, length: int, rng: random.Random) -> Word:
     return Word.from_letters(genus, random_letters(genus, length, rng))
 
 
-def random_commutator_element(genus: int, count: int, seed: int) -> Word:
-    """Product of `count` commutators of random words; abelianizes to zero."""
-    rng = random.Random(seed)
-    return random_commutator_element_rng(genus, count, rng)
-
-
 def random_commutator_element_rng(genus: int, count: int, rng: random.Random) -> Word:
+    """Product of `count` commutators of random words; abelianizes to zero."""
     out = Word.identity(genus)
     for _ in range(count):
         u = random_word_rng(genus, rng.randint(1, 5), rng)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from curveobs.cli import main
+from curveobs.words import MAX_LETTERS, MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -62,6 +63,21 @@ class TestAnalyze:
             "inconclusive",
         ]
 
+    def test_batch_reports_a_bad_line_and_continues(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("2\tx1 x2 y2 x2^-1\ty2 x1^-1\n"
+                         "\n"
+                         "1\tx1\tx7\n"
+                         "1\tx1\ty1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert len(lines) == 3
+        assert lines[0]["verdict"] == "certified_positive_theorem"
+        assert lines[1]["line"] == 2 and "x7" in lines[1]["error"]
+        assert set(lines[1]) == {"line", "error"}
+        assert lines[2]["verdict"] == "certified_positive_homological"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--genus", "2",
                            "--a", "x9", "--b", "y1")
@@ -76,6 +92,30 @@ class TestAnalyze:
     def test_missing_words(self, capsys):
         code, _, err = run(capsys, "analyze", "--genus", "2")
         assert code == 1
+
+
+class TestInputLimits:
+    def test_deep_nesting_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--genus", "1",
+                           "(" * 3000 + "x1" + ")" * 3000)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_nesting_up_to_the_limit_parses(self, capsys):
+        depth = MAX_NESTING
+        code, out, _ = run(capsys, "eval", "--genus", "1",
+                           "(" * depth + "x1" + ")" * depth)
+        assert code == 0
+        assert "word : x1" in out
+
+    @pytest.mark.parametrize("word", ["(x1 y1)^400000000",
+                                      "[(x1)^600000, y1]",
+                                      "x1^999999 y1^999999"])
+    def test_oversized_expansion_fails_fast(self, capsys, word):
+        code, _, err = run(capsys, "eval", "--genus", "1", word)
+        assert code == 1
+        assert err.startswith("error:") and str(MAX_LETTERS) in err
 
 
 class TestTwistCheck:

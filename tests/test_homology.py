@@ -5,7 +5,7 @@ import pytest
 
 from curveobs.homology import (HVec, LatticeWitness, abelianize, basis_pairing,
                                intersection, is_integral, lattice_member)
-from curveobs.words import boundary_word, parse_word, random_word
+from curveobs.words import boundary_word, parse_word, random_word_rng
 
 
 def hv(genus, **coords):
@@ -31,8 +31,8 @@ class TestAbelianize:
         rng = random.Random(0)
         for i in range(200):
             g = rng.randint(1, 3)
-            u = random_word(g, rng.randint(0, 12), 2 * i)
-            v = random_word(g, rng.randint(0, 12), 2 * i + 1)
+            u = random_word_rng(g, rng.randint(0, 12), random.Random(2 * i))
+            v = random_word_rng(g, rng.randint(0, 12), random.Random(2 * i + 1))
             assert abelianize(u * v) == abelianize(u) + abelianize(v)
             assert abelianize(u.inverse()) == -abelianize(u)
 
@@ -83,7 +83,8 @@ class TestIsIntegral:
         rng = random.Random(2)
         for i in range(500):
             g = rng.randint(1, 3)
-            assert is_integral(abelianize(random_word(g, rng.randint(0, 15), i)))
+            assert is_integral(abelianize(
+                random_word_rng(g, rng.randint(0, 15), random.Random(i))))
 
 
 class TestLatticeMember:
@@ -123,8 +124,10 @@ class TestLatticeMember:
         rng = random.Random(seed)
         for _ in range(count):
             g = rng.randint(1, 2)
-            u1 = abelianize(random_word(g, rng.randint(0, 6), rng.randrange(10**6)))
-            u2 = abelianize(random_word(g, rng.randint(0, 6), rng.randrange(10**6)))
+            u1 = abelianize(random_word_rng(g, rng.randint(0, 6),
+                                            random.Random(rng.randrange(10**6))))
+            u2 = abelianize(random_word_rng(g, rng.randint(0, 6),
+                                            random.Random(rng.randrange(10**6))))
             roll = rng.random()
             if roll < 0.15:
                 u2 = u1.scale(rng.randint(-2, 2))  # force rank <= 1

@@ -7,7 +7,7 @@ from curveobs.ell import ell
 from curveobs.expansion import L_theta, johnson_twist, theta0
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.tensor import (TruncTensor, cyclic_N, cyclic_nu, derive,
-                             trunc_exp, trunc_log, trunc_mul)
+                             trunc_exp, trunc_log)
 from curveobs.wedge import embed2, embed3, wedge, wedge3
 from curveobs.words import Word, parse_word, random_word_rng
 
@@ -47,7 +47,7 @@ class TestProduct:
         for _ in range(200):
             g = rng.randint(1, 2)
             u, v, w = (rand_tensor(g, rng) for _ in range(3))
-            assert trunc_mul(trunc_mul(u, v), w) == trunc_mul(u, trunc_mul(v, w))
+            assert (u * v) * w == u * (v * w)
 
     def test_truncation(self):
         u = TruncTensor(1, 2, {(X1, Y1): 1})

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveobs.words import (Word, WordError, boundary_word, commutator,
-                            format_word, parse_word, random_commutator_element,
-                            random_letters, random_word, reduce_letters)
+                            format_word, parse_word,
+                            random_commutator_element_rng, random_letters,
+                            random_word_rng, reduce_letters)
 from curveobs.homology import abelianize
 
 
@@ -159,11 +160,13 @@ class TestReduction:
 
 class TestRandom:
     def test_zero_length(self):
-        assert random_word(2, 0, 5) == Word.identity(2)
+        assert random_word_rng(2, 0, random.Random(5)) == Word.identity(2)
 
     def test_deterministic(self):
-        assert random_word(3, 25, 77) == random_word(3, 25, 77)
-        assert random_commutator_element(2, 3, 9) == random_commutator_element(2, 3, 9)
+        assert (random_word_rng(3, 25, random.Random(77))
+                == random_word_rng(3, 25, random.Random(77)))
+        assert (random_commutator_element_rng(2, 3, random.Random(9))
+                == random_commutator_element_rng(2, 3, random.Random(9)))
 
     def test_letters_within_genus(self):
         rng = random.Random(1)
@@ -176,15 +179,15 @@ class TestRandom:
         rng = random.Random(3)
         for i in range(500):
             g = rng.randint(1, 3)
-            w = random_commutator_element(g, rng.randint(0, 4), i)
+            w = random_commutator_element_rng(g, rng.randint(0, 4),
+                                              random.Random(i))
             assert abelianize(w).is_zero()
 
     def test_count_zero(self):
-        assert random_commutator_element(1, 0, 4) == Word.identity(1)
+        assert random_commutator_element_rng(1, 0, random.Random(4)) == Word.identity(1)
 
     def test_single_commutator_structure(self):
         rng = random.Random(11)
-        from curveobs.words import random_word_rng
         u = random_word_rng(1, rng.randint(1, 5), rng)
         v = random_word_rng(1, rng.randint(1, 5), rng)
-        assert random_commutator_element(1, 1, 11) == commutator(u, v)
+        assert random_commutator_element_rng(1, 1, random.Random(11)) == commutator(u, v)
