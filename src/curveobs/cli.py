@@ -2,7 +2,7 @@
 
 Subcommands: analyze (verdict report, single pair or batch file), twist-check
 (the degree-2 twist identity on one pair), eval (homology class and degree-2
-invariant of one word), selftest (seeded property suites).
+invariant of one word), selftest (the ten acceptance criteria at a seed).
 
 Exit codes: 0 success, 1 parse/input error, 2 internal invariant violation.
 """
@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("word")
     p_ev.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_st = sub.add_parser("selftest", help="run the seeded property suites")
+    p_st = sub.add_parser("selftest",
+                          help="run the ten acceptance criteria at a seed")
     p_st.add_argument("--seed", type=int, default=0)
     p_st.add_argument("--iterations", type=int, default=1)
     return parser

@@ -49,16 +49,12 @@ def L_theta(a: Word, maxdeg: int = 3) -> TruncTensor:
     return cyclic_N(l * l).scale(Fraction(1, 2))
 
 
-def johnson_twist(a: Word, u: TruncTensor, maxdeg: int | None = None) -> TruncTensor:
+def johnson_twist(a: Word, u: TruncTensor) -> TruncTensor:
     """Apply the truncated twist automorphism exp(-L(a)) to u.
 
     Output coefficients are exact through degree min(2, u.known_degree);
     higher degrees would need unknown expansion data and are flagged.
     """
-    if maxdeg is None:
-        maxdeg = u.maxdeg
-    if maxdeg != u.maxdeg:
-        u = u.truncated(maxdeg)
     L = L_theta(a, 3)
     out = u
     term = u

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .ell import ell, obstruction_vector
 from .expansion import EXPANSION_NAME, johnson_twist, theta0
@@ -43,8 +43,8 @@ class Report:
     v: Optional[HVec]
     lattice: Optional[LatticeWitness]
     verdict: str
-    expansion: str = EXPANSION_NAME
-    disclaimer: str = DISCLAIMER
+    expansion: ClassVar[str] = EXPANSION_NAME
+    disclaimer: ClassVar[str] = DISCLAIMER
 
     def to_json(self) -> str:
         return json.dumps({

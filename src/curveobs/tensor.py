@@ -76,11 +76,6 @@ class TruncTensor:
                            {s: c for s, c in self.terms.items() if len(s) == k},
                            known_degree=self.known_degree)
 
-    def truncated(self, maxdeg: int) -> "TruncTensor":
-        return TruncTensor(self.genus, maxdeg,
-                           {s: c for s, c in self.terms.items() if len(s) <= maxdeg},
-                           known_degree=self.known_degree)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncTensor):
             return NotImplemented

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 # Inputs past these bounds are rejected with WordError instead of exhausting
 # the interpreter stack or memory. Each bracket level costs the recursive
 # parser two frames, so MAX_NESTING stays well below the recursion limit.
+# Homology vectors carry 2g coordinates and ell costs O(g) per letter, so the
+# genus is capped as well.
 MAX_NESTING = 200
 MAX_LETTERS = 1_000_000
+MAX_GENUS = 1000
 
 
 class WordError(ValueError):
@@ -230,6 +233,8 @@ def _check_length(n: int):
 def parse_word(text: str, genus: int) -> Word:
     if genus < 1:
         raise WordError(f"genus must be >= 1, got {genus}")
+    if genus > MAX_GENUS:
+        raise WordError(f"genus must be <= {MAX_GENUS}, got {genus}")
     tokens = _tokenize(text)
     if not tokens:
         raise WordError("empty input (use '1' for the identity)")

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from curveobs import selftest
 from curveobs.cli import main
-from curveobs.words import MAX_LETTERS, MAX_NESTING
+from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -117,6 +118,29 @@ class TestInputLimits:
         assert code == 1
         assert err.startswith("error:") and str(MAX_LETTERS) in err
 
+    def test_genus_past_the_limit_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--genus", str(MAX_GENUS + 1), "x1")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_GENUS) in err
+
+    def test_genus_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "eval", "--genus", str(MAX_GENUS), "x1")
+        assert code == 0
+        assert "word : x1" in out
+
+    def test_batch_line_past_the_genus_limit_continues(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{MAX_GENUS + 1}\tx1\ty1\n"
+                         "1\tx1\ty1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert lines[0] == {"line": 1,
+                            "error": f"genus must be <= {MAX_GENUS}, "
+                                     f"got {MAX_GENUS + 1}"}
+        assert lines[1]["verdict"] == "certified_positive_homological"
+
 
 class TestTwistCheck:
     def test_consistent_pair(self, capsys):
@@ -166,3 +190,18 @@ class TestSelftest:
     def test_bad_iterations(self, capsys):
         code, _, err = run(capsys, "selftest", "--iterations", "0")
         assert code == 1
+
+    def test_failing_criterion_exits_2(self, capsys, monkeypatch):
+        def broken(rng, n):
+            raise selftest.SelfTestFailure("a = x1, b = y1")
+
+        criteria = list(selftest.CRITERIA)
+        name, _, count = criteria[4]
+        criteria[4] = (name, broken, count)
+        monkeypatch.setattr(selftest, "CRITERIA", criteria)
+        code, out, _ = run(capsys, "selftest", "--seed", "7")
+        assert code == 2
+        lines = out.splitlines()
+        assert f"FAIL {name}: a = x1, b = y1" in lines
+        assert sum(l.startswith("PASS ") for l in lines) == len(criteria) - 1
+        assert lines[-1].startswith(f"{len(criteria) - 1}/{len(criteria)} ")
