@@ -6,8 +6,7 @@ from .expansion import L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        is_integral, lattice_member)
 from .obstruction import Report, analyze, twist_consistency
-from .tensor import (TruncTensor, cyclic_N, cyclic_nu, derive, trunc_exp,
-                     trunc_log)
+from .tensor import TruncTensor, cyclic_N, derive
 from .wedge import (Wedge2, Wedge3, act2, act3, embed2, embed3, omega, wedge,
                     wedge3)
 from .words import (Word, WordError, boundary_word, commutator, format_word,
@@ -22,7 +21,6 @@ __all__ = [
     "Wedge2", "Wedge3", "wedge", "act2", "wedge3", "act3", "omega", "embed2",
     "embed3",
     "ell", "ell_of_letters", "obstruction_vector",
-    "TruncTensor", "trunc_log", "trunc_exp", "cyclic_nu",
-    "cyclic_N", "derive", "theta0", "L_theta", "johnson_twist",
+    "TruncTensor", "cyclic_N", "derive", "theta0", "L_theta", "johnson_twist",
     "Report", "analyze", "twist_consistency",
 ]

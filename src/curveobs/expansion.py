@@ -2,9 +2,9 @@
 and the truncated twist automorphism.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
-generator values of ell; degree-3 coefficients are unknown and tensors built
-from them carry known_degree = 2. The derivation datum L(a) is exact through
-degree 3, which is all the twist formula needs for exact degree <= 2 output.
+generator values of ell, so theta0 is built at degree bound 2. The derivation
+datum L(a) is exact through degree 3, which is all the twist formula needs for
+exact degree <= 2 output.
 """
 
 from __future__ import annotations
@@ -19,45 +19,36 @@ from .words import Word
 
 EXPANSION_NAME = "theta0"
 
-# exp(-L) on a degree <= 3 truncation: each derivation application either keeps
+# exp(-L) on a degree <= 2 truncation: each derivation application either keeps
 # or raises degree and is nilpotent degreewise, so this bound is generous.
 _MAX_EXP_ITER = 64
 
 
-def theta0(w: Word, maxdeg: int = 3) -> TruncTensor:
-    """Expansion of a word: 1 + |w| + (embedded ell(w) + 1/2 |w||w|), exact
-    through degree 2; any degree-3 slot is marked unknown, never silently 0."""
-    if maxdeg < 2:
-        raise ValueError("expansion needs degree bound >= 2")
-    h = TruncTensor.from_hvec(abelianize(w), maxdeg)
-    out = (TruncTensor.one(w.genus, maxdeg)
-           + h
-           + embed2(ell(w), maxdeg)
-           + (h * h).scale(Fraction(1, 2)))
-    return TruncTensor(w.genus, maxdeg, out.terms,
-                       known_degree=min(2, maxdeg))
+def theta0(w: Word) -> TruncTensor:
+    """Expansion of a word through degree 2, where it is exact:
+    1 + |w| + (embedded ell(w) + 1/2 |w||w|)."""
+    h = TruncTensor.from_hvec(abelianize(w), 2)
+    return (TruncTensor.one(w.genus, 2)
+            + h
+            + embed2(ell(w), 2)
+            + (h * h).scale(Fraction(1, 2)))
 
 
-def L_theta(a: Word, maxdeg: int = 3) -> TruncTensor:
-    """Derivation datum of the twist along a: (1/2) N(l l) for l = |a| +
-    embedded ell(a). Exact at degrees 2 and 3; degree 4 needs unknown data."""
-    if maxdeg > 3:
-        raise ValueError("degrees above 3 need unknown expansion data")
-    if maxdeg < 2:
-        raise ValueError("degree bound must be >= 2")
-    l = TruncTensor.from_hvec(abelianize(a), maxdeg) + embed2(ell(a), maxdeg)
+def L_theta(a: Word) -> TruncTensor:
+    """Derivation datum of the twist along a, through degree 3: (1/2) N(l l)
+    for l = |a| + embedded ell(a). Degree 4 would need unknown data."""
+    l = TruncTensor.from_hvec(abelianize(a), 3) + embed2(ell(a), 3)
     return cyclic_N(l * l).scale(Fraction(1, 2))
 
 
 def johnson_twist(a: Word, u: TruncTensor) -> TruncTensor:
     """Apply the truncated twist automorphism exp(-L(a)) to u.
 
-    Output coefficients are exact through degree min(2, u.known_degree);
-    higher degrees would need unknown expansion data and are flagged.
+    u is cut to degree <= 2 first: the output is exact only that far, and
+    derivation by L(a) never lowers degree, so higher terms of u cannot reach it.
     """
-    L = L_theta(a, 3)
-    out = u
-    term = u
+    L = L_theta(a)
+    out = term = TruncTensor(u.genus, min(2, u.maxdeg), u.terms)
     sign = 1
     fact = 1
     for k in range(1, _MAX_EXP_ITER + 1):
@@ -69,5 +60,4 @@ def johnson_twist(a: Word, u: TruncTensor) -> TruncTensor:
         out = out + term.scale(Fraction(sign, fact))
     else:
         raise AssertionError("twist exponential failed to terminate")
-    return TruncTensor(u.genus, u.maxdeg, out.terms,
-                       known_degree=min(2, u.known_degree))
+    return out

@@ -134,7 +134,7 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, 
     abs_b = abelianize(b)
     if intersection(abs_a, abs_b) != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")
-    tb = theta0(b, 2)
+    tb = theta0(b)
     lhs = johnson_twist(a, tb).degree_part(2) - tb.degree_part(2)
     v = obstruction_vector(a, b)
     rhs = embed2(wedge(abs_a, v), 2)

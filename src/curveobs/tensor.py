@@ -1,10 +1,9 @@
 """Degree-truncated completed tensor algebra over the homology basis.
 
 Elements are sparse maps from basis-index sequences (tuples over 0..2g-1) to
-exact rationals; every operation discards terms above the degree bound. The
-`known_degree` attribute records up to which degree the coefficients are
-trusted: building blocks whose higher coefficients are simply not available
-(the degree-3 part of the built-in expansion) lower it below the bound.
+exact rationals; every operation discards terms above the degree bound. Every
+stored coefficient is exact: a tensor whose higher coefficients are not known
+is built at a lower degree bound instead.
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ from .words import check_genus
 
 
 class TruncTensor:
-    __slots__ = ("genus", "maxdeg", "terms", "known_degree")
+    __slots__ = ("genus", "maxdeg", "terms")
 
     def __init__(self, genus: int, maxdeg: int = 3,
-                 terms: Mapping[tuple[int, ...], Fraction] | None = None,
-                 known_degree: int | None = None):
+                 terms: Mapping[tuple[int, ...], Fraction] | None = None):
         if maxdeg < 1:
             raise ValueError("degree bound must be >= 1")
         self.genus = genus
         self.maxdeg = maxdeg
-        self.known_degree = maxdeg if known_degree is None else min(known_degree, maxdeg)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             n = 2 * genus
@@ -41,10 +38,6 @@ class TruncTensor:
         self.terms = clean
 
     # --- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, genus: int, maxdeg: int = 3) -> "TruncTensor":
-        return cls(genus, maxdeg)
 
     @classmethod
     def one(cls, genus: int, maxdeg: int = 3) -> "TruncTensor":
@@ -73,8 +66,7 @@ class TruncTensor:
 
     def degree_part(self, k: int) -> "TruncTensor":
         return TruncTensor(self.genus, self.maxdeg,
-                           {s: c for s, c in self.terms.items() if len(s) == k},
-                           known_degree=self.known_degree)
+                           {s: c for s, c in self.terms.items() if len(s) == k})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncTensor):
@@ -82,16 +74,12 @@ class TruncTensor:
         return (self.genus == other.genus and self.maxdeg == other.maxdeg
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("TruncTensor is not hashable")
-
     def __add__(self, other: "TruncTensor") -> "TruncTensor":
         self._check(other)
         out = dict(self.terms)
         for s, c in other.terms.items():
             out[s] = out.get(s, 0) + c
-        return TruncTensor(self.genus, self.maxdeg, out,
-                           known_degree=min(self.known_degree, other.known_degree))
+        return TruncTensor(self.genus, self.maxdeg, out)
 
     def __sub__(self, other: "TruncTensor") -> "TruncTensor":
         return self + (-other)
@@ -102,8 +90,7 @@ class TruncTensor:
     def scale(self, c) -> "TruncTensor":
         c = Fraction(c)
         return TruncTensor(self.genus, self.maxdeg,
-                           {s: c * v for s, v in self.terms.items()},
-                           known_degree=self.known_degree)
+                           {s: c * v for s, v in self.terms.items()})
 
     def __mul__(self, other: "TruncTensor") -> "TruncTensor":
         self._check(other)
@@ -116,47 +103,10 @@ class TruncTensor:
                     continue
                 s = s1 + s2
                 out[s] = out.get(s, 0) + c1 * c2
-        return TruncTensor(self.genus, D, out,
-                           known_degree=min(self.known_degree, other.known_degree))
+        return TruncTensor(self.genus, D, out)
 
     def __repr__(self):
         return f"TruncTensor(genus={self.genus}, maxdeg={self.maxdeg}, terms={self.terms!r})"
-
-
-def trunc_log(u: TruncTensor) -> TruncTensor:
-    """log(1 + h) as the alternating power series, truncated."""
-    if u.constant() != 1:
-        raise ValueError("log requires constant term 1")
-    h = u - TruncTensor.one(u.genus, u.maxdeg)
-    out = TruncTensor.zero(u.genus, u.maxdeg)
-    power = TruncTensor.one(u.genus, u.maxdeg)
-    for k in range(1, u.maxdeg + 1):
-        power = power * h
-        out = out + power.scale(Fraction((-1) ** (k - 1), k))
-    return out
-
-
-def trunc_exp(u: TruncTensor) -> TruncTensor:
-    """exp(h) for h with zero constant term, truncated."""
-    if u.constant() != 0:
-        raise ValueError("exp requires constant term 0")
-    out = TruncTensor.one(u.genus, u.maxdeg)
-    power = TruncTensor.one(u.genus, u.maxdeg)
-    fact = 1
-    for k in range(1, u.maxdeg + 1):
-        power = power * u
-        fact *= k
-        out = out + power.scale(Fraction(1, fact))
-    return out
-
-
-def cyclic_nu(u: TruncTensor) -> TruncTensor:
-    """Cyclic permutation: move the first tensor factor to the end."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for s, c in u.terms.items():
-        t = s[1:] + s[:1]
-        out[t] = out.get(t, Fraction(0)) + c
-    return TruncTensor(u.genus, u.maxdeg, out, known_degree=u.known_degree)
 
 
 def cyclic_N(u: TruncTensor) -> TruncTensor:
@@ -168,7 +118,7 @@ def cyclic_N(u: TruncTensor) -> TruncTensor:
         for j in range(len(s)):
             t = s[j:] + s[:j]
             out[t] = out.get(t, Fraction(0)) + c
-    return TruncTensor(u.genus, u.maxdeg, out, known_degree=u.known_degree)
+    return TruncTensor(u.genus, u.maxdeg, out)
 
 
 def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
@@ -193,5 +143,4 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
                 if len(t) > D:
                     continue
                 out[t] = out.get(t, 0) + c * hc * pairing
-    return TruncTensor(u.genus, D, out,
-                       known_degree=min(h.known_degree, u.known_degree))
+    return TruncTensor(u.genus, D, out)

@@ -145,11 +145,11 @@ def embed2(w: Wedge2, maxdeg: int = 3) -> TruncTensor:
     return TruncTensor(w.genus, maxdeg, terms)
 
 
-def embed3(t: Wedge3, maxdeg: int = 3) -> TruncTensor:
+def embed3(t: Wedge3) -> TruncTensor:
     """X^Y^Z -> XYZ + YZX + ZXY - XZY - ZYX - YXZ."""
     terms: dict[tuple[int, ...], Fraction] = {}
     for (i, j, k), c in t.terms.items():
         for seq, sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                           ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1)):
             terms[seq] = terms.get(seq, Fraction(0)) + sign * c
-    return TruncTensor(t.genus, maxdeg, terms)
+    return TruncTensor(t.genus, 3, terms)

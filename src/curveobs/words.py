@@ -70,23 +70,12 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         check_genus(self, other, WordError)
         return Word.from_letters(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "Word":
         return Word(self.genus, tuple(-l for l in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word.identity(self.genus)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def conjugate(self, h: "Word") -> "Word":
         """g.conjugate(h) = g h g^-1."""
@@ -110,10 +99,8 @@ def generator(genus: int, kind: str, index: int, sign: int = 1) -> Word:
 
 def boundary_word(genus: int) -> Word:
     """The boundary class: the product of the commutators [x_j, y_j]."""
-    out = Word.identity(genus)
-    for j in range(1, genus + 1):
-        out = out * commutator(generator(genus, "x", j), generator(genus, "y", j))
-    return out
+    return Word(genus, tuple(l for j in range(1, genus + 1)
+                             for l in (2 * j - 1, 2 * j, 1 - 2 * j, -2 * j)))
 
 
 # --- parsing -----------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveobs.words import (Word, WordError, boundary_word, commutator,
-                            format_word, parse_word,
+                            format_word, generator, parse_word,
                             random_commutator_element_rng, random_letters,
                             random_word_rng, reduce_letters)
 from curveobs.homology import abelianize
@@ -129,6 +129,13 @@ class TestBoundary:
 
     def test_genus_two(self):
         assert boundary_word(2) == parse_word("x1 y1 x1^-1 y1^-1 x2 y2 x2^-1 y2^-1", 2)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_product_of_commutators(self, g):
+        want = Word.identity(g)
+        for j in range(1, g + 1):
+            want = want * commutator(generator(g, "x", j), generator(g, "y", j))
+        assert boundary_word(g) == want
 
     @pytest.mark.parametrize("g", range(1, 6))
     def test_abelianizes_to_zero(self, g):
