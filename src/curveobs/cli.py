@@ -4,7 +4,8 @@ Subcommands: analyze (verdict report, single pair or batch file), twist-check
 (the degree-2 twist identity on one pair), eval (homology class and degree-2
 invariant of one word), selftest (the ten acceptance criteria at a seed).
 
-Exit codes: 0 success, 1 parse/input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 parse/input error (usage errors included), 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -20,8 +21,17 @@ from .selftest import run_selftest
 from .words import WordError, format_word, parse_word
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, not argparse's 2, which this
+    program keeps for internal invariant violations. Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curveobs",
         description=(
             "Certify positive geometric intersection of two curves on a "

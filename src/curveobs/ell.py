@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .homology import HVec, abelianize, intersection
+from .homology import HVec
 from .wedge import Wedge2, act2, wedge
-from .words import Word, check_genus
+from .words import Word
 
 
 def _letter_ell(genus: int, letter: int) -> Wedge2:
@@ -47,7 +47,7 @@ def ell(w: Word) -> Wedge2:
     return ell_of_letters(w.genus, w.letters)
 
 
-def obstruction_vector(a: Word, b: Word) -> HVec:
-    """ell(a) acting on |b| plus ell(b) acting on |a|."""
-    check_genus(a, b)
-    return act2(ell(a), abelianize(b)) + act2(ell(b), abelianize(a))
+def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
+                       abs_b: HVec, ell_b: Wedge2) -> HVec:
+    """v = ell(a) acting on |b| plus ell(b) acting on |a|."""
+    return act2(ell_a, abs_b) + act2(ell_b, abs_a)

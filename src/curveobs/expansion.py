@@ -49,15 +49,12 @@ def johnson_twist(a: Word, u: TruncTensor) -> TruncTensor:
     """
     L = L_theta(a)
     out = term = TruncTensor(u.genus, min(2, u.maxdeg), u.terms)
-    sign = 1
-    fact = 1
+    # term_k = (-L)^k(u) / k!
     for k in range(1, _MAX_EXP_ITER + 1):
-        term = derive(L, term)
+        term = derive(L, term).scale(Fraction(-1, k))
         if term.is_zero():
             break
-        sign = -sign
-        fact *= k
-        out = out + term.scale(Fraction(sign, fact))
+        out = out + term
     else:
         raise AssertionError("twist exponential failed to terminate")
     return out

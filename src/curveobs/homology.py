@@ -7,7 +7,6 @@ is exact (fractions.Fraction), never floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -19,15 +18,16 @@ def basis_label(k: int) -> str:
     return ("X" if k % 2 == 0 else "Y") + str(k // 2 + 1)
 
 
+def mate(k: int) -> int:
+    """The symplectic partner of basis index k: X_j <-> Y_j."""
+    return k ^ 1
+
+
 def basis_pairing(i: int, j: int) -> int:
     """Intersection of basis vectors: X_j . Y_j = 1, Y_j . X_j = -1, else 0."""
-    if i // 2 != j // 2:
+    if j != mate(i):
         return 0
-    if i % 2 == 0 and j % 2 == 1:
-        return 1
-    if i % 2 == 1 and j % 2 == 0:
-        return -1
-    return 0
+    return 1 if i % 2 == 0 else -1
 
 
 def format_terms(terms) -> str:
@@ -147,59 +147,30 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
-    """Decide v in Z*u1 + Z*u2, with an integer witness (m, n) when it holds."""
+    """Decide v in Z*u1 + Z*u2, with an integer witness (m, n) when it holds.
+
+    One elimination step: at the first coordinate i0 where u1 and u2 are not
+    both zero, s*a + t*b = d = gcd(a, b) of their entries gives the unimodular
+    change c1 = s*u1 + t*u2, c2 = (a/d)*u2 - (b/d)*u1 with c1[i0] = d and
+    c2[i0] = 0, so v has at most one candidate m1*c1 + n1*c2.
+    """
     check_genus(v, u1)
     check_genus(v, u2)
     if not (is_integral(u1) and is_integral(u2)):
         raise ValueError("lattice generators must have integer coordinates")
     a = [int(c) for c in u1.coords]
     b = [int(c) for c in u2.coords]
-    n2g = len(a)
-
-    if all(x == 0 for x in a) and all(x == 0 for x in b):
-        if v.is_zero():
-            return LatticeWitness(True, 0, 0)
+    i0 = next((i for i in range(len(a)) if a[i] or b[i]), 0)
+    # d = 0 only when u1 = u2 = 0; then c1 = c2 = 0 and only v = 0 passes
+    d, s, t = _ext_gcd(a[i0], b[i0])
+    d = d or 1
+    p, q = a[i0] // d, b[i0] // d
+    c1 = [s * x + t * y for x, y in zip(a, b)]
+    c2 = [p * y - q * x for x, y in zip(a, b)]
+    m1 = v.coords[i0] / d
+    k = next((i for i, x in enumerate(c2) if x), None)
+    n1 = Fraction(0) if k is None else (v.coords[k] - m1 * c1[k]) / c2[k]
+    if (m1.denominator != 1 or n1.denominator != 1
+            or any(m1 * x + n1 * y != z for x, y, z in zip(c1, c2, v.coords))):
         return LatticeWitness(False)
-
-    # rank 1 iff all 2x2 minors of the two rows vanish
-    dependent = all(
-        a[i] * b[j] - a[j] * b[i] == 0
-        for i in range(n2g)
-        for j in range(i + 1, n2g)
-    )
-    if dependent:
-        w = a if any(a) else b
-        g0 = math.gcd(*w)
-        u0 = [x // g0 for x in w]
-        i0 = next(i for i, x in enumerate(u0) if x != 0)
-        p, _ = divmod(a[i0], u0[i0])
-        q, _ = divmod(b[i0], u0[i0])
-        t = v.coords[i0] / u0[i0]
-        if any(v.coords[i] != t * u0[i] for i in range(n2g)):
-            return LatticeWitness(False)
-        if t.denominator != 1:
-            return LatticeWitness(False)
-        t = int(t)
-        d, s, w2 = _ext_gcd(p, q)
-        if t % d != 0:
-            return LatticeWitness(False)
-        k = t // d
-        return LatticeWitness(True, k * s, k * w2)
-
-    # rank 2: Cramer on two independent rows, verify the rest
-    pivot = next(
-        (i, j)
-        for i in range(n2g)
-        for j in range(i + 1, n2g)
-        if a[i] * b[j] - a[j] * b[i] != 0
-    )
-    i, j = pivot
-    det = Fraction(a[i] * b[j] - a[j] * b[i])
-    m = (v.coords[i] * b[j] - v.coords[j] * b[i]) / det
-    n = (a[i] * v.coords[j] - a[j] * v.coords[i]) / det
-    for k in range(n2g):
-        if m * a[k] + n * b[k] != v.coords[k]:
-            return LatticeWitness(False)
-    if m.denominator != 1 or n.denominator != 1:
-        return LatticeWitness(False)
-    return LatticeWitness(True, int(m), int(n))
+    return LatticeWitness(True, int(s * m1 - q * n1), int(t * m1 + p * n1))

@@ -17,7 +17,7 @@ from .expansion import EXPANSION_NAME, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
 from .tensor import TruncTensor
-from .wedge import Wedge2, act2, embed2, wedge
+from .wedge import Wedge2, embed2, wedge
 from .words import Word, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -104,7 +104,7 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
         witness = None
         verdict = VERDICT_HOMOLOGICAL
     else:
-        v = act2(ell_a, abs_b) + act2(ell_b, abs_a)
+        v = obstruction_vector(abs_a, ell_a, abs_b, ell_b)
         witness = lattice_member(v, abs_a, abs_b)
         verdict = VERDICT_INCONCLUSIVE if witness.member else VERDICT_THEOREM
     return Report(
@@ -124,18 +124,15 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
 
 def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, TruncTensor]:
     """Compare the degree-2 change of b's expansion under the twist along a
-    (derivation-exponential path) against the closed form |a| ^ v.
+    (derivation-exponential path) against the closed form |a| ^ v, with the
+    |a| and v of analyze's report.
 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
-    if a.genus != genus or b.genus != genus:
-        raise ValueError("word genus does not match the requested genus")
-    abs_a = abelianize(a)
-    abs_b = abelianize(b)
-    if intersection(abs_a, abs_b) != 0:
+    rep = analyze(genus, a, b)
+    if rep.i_A != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")
     tb = theta0(b)
     lhs = johnson_twist(a, tb).degree_part(2) - tb.degree_part(2)
-    v = obstruction_vector(a, b)
-    rhs = embed2(wedge(abs_a, v), 2)
+    rhs = embed2(wedge(rep.abs_a, rep.v), 2)
     return lhs == rhs, lhs, rhs

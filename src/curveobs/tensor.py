@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .homology import HVec, basis_pairing
+from .homology import HVec, basis_pairing, mate
 from .words import check_genus
 
 
@@ -113,8 +113,6 @@ def cyclic_N(u: TruncTensor) -> TruncTensor:
     """Sum of all cyclic rotations degreewise; kills constants."""
     out: dict[tuple[int, ...], Fraction] = {}
     for s, c in u.terms.items():
-        if len(s) == 0:
-            continue
         for j in range(len(s)):
             t = s[j:] + s[:j]
             out[t] = out.get(t, Fraction(0)) + c
@@ -131,16 +129,19 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
     check_genus(h, u)
     if h.constant() != 0:
         raise ValueError("derivation datum must have zero constant term")
+    # images[y]: the derivation's value on the factor y, as (tail, coeff)
+    # pairs; only terms whose first factor is y's symplectic mate pair nonzero
+    images: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+    for hs, hc in h.terms.items():
+        y = mate(hs[0])
+        images.setdefault(y, []).append((hs[1:], hc * basis_pairing(y, hs[0])))
     D = u.maxdeg
     out: dict[tuple[int, ...], Fraction] = {}
     for s, c in u.terms.items():
         for p, y in enumerate(s):
-            for hs, hc in h.terms.items():
-                pairing = basis_pairing(y, hs[0])
-                if pairing == 0:
-                    continue
-                t = s[:p] + hs[1:] + s[p + 1:]
+            for tail, hc in images.get(y, ()):
+                t = s[:p] + tail + s[p + 1:]
                 if len(t) > D:
                     continue
-                out[t] = out.get(t, 0) + c * hc * pairing
+                out[t] = out.get(t, 0) + c * hc
     return TruncTensor(u.genus, D, out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .homology import HVec, basis_label, basis_pairing, format_terms
+from .homology import HVec, basis_label, basis_pairing, format_terms, mate
 from .tensor import TruncTensor
 from .words import check_genus
 
@@ -125,8 +125,8 @@ def act3(t: Wedge3, z: HVec) -> Wedge2:
 
 def _pair_with_basis(z: HVec, i: int) -> Fraction:
     """z . e_i over the symplectic pairing."""
-    mate = i + 1 if i % 2 == 0 else i - 1
-    return z.coords[mate] * basis_pairing(mate, i)
+    m = mate(i)
+    return z.coords[m] * basis_pairing(m, i)
 
 
 def omega(genus: int) -> Wedge2:

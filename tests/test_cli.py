@@ -95,6 +95,29 @@ class TestAnalyze:
         assert code == 1
 
 
+class TestUsageErrors:
+    """argparse's own exit 2 would read as an internal invariant violation;
+    usage errors are input errors and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--format", "xml"],
+        ["eval", "--genus", "two", "x1"],
+        ["twist-check", "--genus", "1", "--a", "x1"],
+        [],
+    ], ids=["bad_choice", "bad_int", "missing_required", "no_subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestInputLimits:
     def test_deep_nesting_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "eval", "--genus", "1",

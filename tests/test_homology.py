@@ -120,6 +120,54 @@ class TestLatticeMember:
         with pytest.raises(ValueError):
             lattice_member(hv(1, X1=1), hv(1, X1=Fraction(1, 2)), hv(1, Y1=1))
 
+    # (case, v, u1, u2, expected (member, m, n)); the witness is printed in
+    # every report, so the expected values pin its choice, not only membership
+    TABLE = [
+        ("rank0_zero", (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (True, 0, 0)),
+        ("rank0_nonzero", (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
+         (False, None, None)),
+        ("rank1_zero_u1", (0, 0, -6, 9), (0, 0, 0, 0), (0, 0, -2, 3),
+         (True, 0, 3)),
+        ("rank1_zero_u2", (-4, 2), (2, -1), (0, 0), (True, -2, 0)),
+        ("rank1_negative_leading", (0, -2, 1, 0), (0, -4, 2, 0), (0, 6, -3, 0),
+         (True, -1, -1)),
+        ("rank1_negative_leading_flip", (0, 2, -1, 0), (0, -4, 2, 0),
+         (0, 6, -3, 0), (True, 1, 1)),
+        ("rank1_gcd_multiple", (-6, 3, 0, 9, 0, 0), (-4, 2, 0, 6, 0, 0),
+         (10, -5, 0, -15, 0, 0), (True, -6, -3)),
+        ("rank1_not_gcd_multiple", (1, 2), (4, 8), (6, 12), (False, None, None)),
+        ("rank1_equal_generators", (-3, 0, 6, 0), (-1, 0, 2, 0), (-1, 0, 2, 0),
+         (True, 0, 3)),
+        ("rank1_opposite_generators", (5, -5, 0, 0, 0, 0, 5, 0),
+         (-1, 1, 0, 0, 0, 0, -1, 0), (1, -1, 0, 0, 0, 0, 1, 0), (True, 0, 5)),
+        ("rank1_off_line", (0, 1), (1, 0), (2, 0), (False, None, None)),
+        ("rank2_paper_nonmember", (1, 0, 0, 0), (1, 0, 0, 1), (-1, 0, 0, 1),
+         (False, None, None)),
+        ("rank2_combination", (5, 0, 0, 1), (1, 0, 0, 1), (-1, 0, 0, 1),
+         (True, 3, -2)),
+        ("rank2_negative_leading", (0, -5, 4, 1), (0, -3, 2, 0), (0, 1, 0, 1),
+         (True, 2, 1)),
+        ("rank2_negative_leading_miss", (0, -7, 4, 1), (0, -3, 2, 0),
+         (0, 1, 0, 1), (False, None, None)),
+        ("rank2_index_two", (2, 0), (1, 1), (1, -1), (True, 1, 1)),
+        ("rank2_index_two_miss", (1, 0), (1, 1), (1, -1), (False, None, None)),
+        ("fractional_rank2", (Fraction(1, 2), 0, 0, Fraction(1, 2)),
+         (1, 0, 0, 1), (-1, 0, 0, 1), (False, None, None)),
+        ("fractional_rank1", (Fraction(-3, 2), 3), (-1, 2), (2, -4),
+         (False, None, None)),
+        ("fractional_rank0", (0, Fraction(1, 3)), (0, 0), (0, 0),
+         (False, None, None)),
+        ("fractional_on_line_off_lattice", (Fraction(3, 2), 0, Fraction(-3, 2), 0),
+         (2, 0, -2, 0), (0, 0, 0, 0), (False, None, None)),
+    ]
+
+    @pytest.mark.parametrize("case, v, u1, u2, want", TABLE,
+                             ids=[row[0] for row in TABLE])
+    def test_witness_table(self, case, v, u1, u2, want):
+        g = len(v) // 2
+        got = lattice_member(*(HVec.from_coords(g, x) for x in (v, u1, u2)))
+        assert (got.member, got.m, got.n) == want
+
     def _random_instances(self, count, seed):
         rng = random.Random(seed)
         for _ in range(count):

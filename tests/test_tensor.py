@@ -5,7 +5,7 @@ import pytest
 
 from curveobs.ell import ell
 from curveobs.expansion import L_theta, johnson_twist, theta0
-from curveobs.homology import HVec, abelianize, intersection
+from curveobs.homology import HVec, abelianize, basis_pairing, intersection
 from curveobs.tensor import TruncTensor, cyclic_N, derive
 from curveobs.wedge import embed2, embed3, wedge, wedge3
 from curveobs.words import Word, parse_word, random_word_rng
@@ -114,6 +114,32 @@ class TestDerive:
             h2 = rand_tensor(g, rng, min_deg=1)
             u = rand_tensor(g, rng)
             assert derive(h1 + h2, u) == derive(h1, u) + derive(h2, u)
+
+
+def derive_full_scan(h, u):
+    """Reference derivation: every term of h against every factor of u."""
+    out = {}
+    for s, c in u.terms.items():
+        for p, y in enumerate(s):
+            for hs, hc in h.terms.items():
+                pairing = basis_pairing(y, hs[0])
+                if pairing == 0:
+                    continue
+                t = s[:p] + hs[1:] + s[p + 1:]
+                if len(t) > u.maxdeg:
+                    continue
+                out[t] = out.get(t, 0) + c * hc * pairing
+    return TruncTensor(u.genus, u.maxdeg, out)
+
+
+class TestDeriveMatchesFullScan:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_random(self, g):
+        rng = random.Random(100 + g)
+        for _ in range(300):
+            h = rand_tensor(g, rng, maxdeg=rng.choice([2, 3]), min_deg=1)
+            u = rand_tensor(g, rng, maxdeg=rng.randint(1, 3))
+            assert derive(h, u) == derive_full_scan(h, u), (h, u)
 
 
 class TestTheta0:
