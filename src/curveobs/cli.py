@@ -18,7 +18,7 @@ from .ell import ell
 from .homology import abelianize, basis_label
 from .obstruction import analyze, twist_consistency
 from .selftest import run_selftest
-from .words import WordError, format_word, parse_word
+from .words import WordError, format_word, parse_genus, parse_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +78,7 @@ def _cmd_analyze(args) -> int:
             try:
                 if len(fields) != 3:
                     raise WordError(f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
-                genus = int(fields[0])
+                genus = parse_genus(fields[0])
                 rep = analyze(genus,
                               parse_word(fields[1], genus),
                               parse_word(fields[2], genus))

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ell import ell
-from .homology import abelianize
+from .homology import HVec
 from .tensor import TruncTensor, cyclic_N, derive
-from .wedge import embed2
-from .words import Word
+from .wedge import Wedge2, embed2
 
 EXPANSION_NAME = "theta0"
 
@@ -24,31 +22,34 @@ EXPANSION_NAME = "theta0"
 _MAX_EXP_ITER = 64
 
 
-def theta0(w: Word) -> TruncTensor:
-    """Expansion of a word through degree 2, where it is exact:
-    1 + |w| + (embedded ell(w) + 1/2 |w||w|)."""
-    h = TruncTensor.from_hvec(abelianize(w), 2)
-    return (TruncTensor.one(w.genus, 2)
+def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
+    """Expansion of a word w through degree 2, where it is exact, from its
+    class |w| and ell(w): 1 + |w| + (embedded ell(w) + 1/2 |w||w|)."""
+    h = TruncTensor.from_hvec(abs_w, 2)
+    return (TruncTensor.one(abs_w.genus, 2)
             + h
-            + embed2(ell(w), 2)
+            + embed2(ell_w, 2)
             + (h * h).scale(Fraction(1, 2)))
 
 
-def L_theta(a: Word) -> TruncTensor:
-    """Derivation datum of the twist along a, through degree 3: (1/2) N(l l)
-    for l = |a| + embedded ell(a). Degree 4 would need unknown data."""
-    l = TruncTensor.from_hvec(abelianize(a), 3) + embed2(ell(a), 3)
+def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
+    """Derivation datum of the twist along a word a, through degree 3, from
+    its class |a| and ell(a): (1/2) N(l l) for l = |a| + embedded ell(a).
+    Degree 4 would need unknown data."""
+    l = TruncTensor.from_hvec(abs_a, 3) + embed2(ell_a, 3)
     return cyclic_N(l * l).scale(Fraction(1, 2))
 
 
-def johnson_twist(a: Word, u: TruncTensor) -> TruncTensor:
-    """Apply the truncated twist automorphism exp(-L(a)) to u.
+def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
+    """Apply the truncated twist automorphism exp(-L) to u, for the
+    derivation datum L = L_theta(|a|, ell(a)) of the twist along a.
 
     u is cut to degree <= 2 first: the output is exact only that far, and
-    derivation by L(a) never lowers degree, so higher terms of u cannot reach it.
+    derivation by L never lowers degree, so higher terms of u cannot reach it.
     """
-    L = L_theta(a)
-    out = term = TruncTensor(u.genus, min(2, u.maxdeg), u.terms)
+    D = min(2, u.maxdeg)
+    out = term = TruncTensor._make(
+        u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
     # term_k = (-L)^k(u) / k!
     for k in range(1, _MAX_EXP_ITER + 1):
         term = derive(L, term).scale(Fraction(-1, k))

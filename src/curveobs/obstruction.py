@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 from .ell import ell, obstruction_vector
-from .expansion import EXPANSION_NAME, johnson_twist, theta0
+from .expansion import EXPANSION_NAME, L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
 from .tensor import TruncTensor
@@ -124,15 +124,17 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
 
 def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, TruncTensor]:
     """Compare the degree-2 change of b's expansion under the twist along a
-    (derivation-exponential path) against the closed form |a| ^ v, with the
-    |a| and v of analyze's report.
+    (derivation-exponential path) against the closed form |a| ^ v. Both sides
+    are built from analyze's report: the expansion of b and the twist datum
+    from its |b|, ell(b) and |a|, ell(a), the closed form from its |a| and v.
 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
     rep = analyze(genus, a, b)
     if rep.i_A != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")
-    tb = theta0(b)
-    lhs = johnson_twist(a, tb).degree_part(2) - tb.degree_part(2)
+    tb = theta0(rep.abs_b, rep.ell_b)
+    L = L_theta(rep.abs_a, rep.ell_a)
+    lhs = johnson_twist(L, tb).degree_part(2) - tb.degree_part(2)
     rhs = embed2(wedge(rep.abs_a, rep.v), 2)
     return lhs == rhs, lhs, rhs

@@ -53,6 +53,11 @@ def _describe(rep):
             f"{rep.lattice}, verdict {rep.verdict}")
 
 
+def _L_of(w):
+    """The twist derivation datum of a word."""
+    return L_theta(abelianize(w), ell(w))
+
+
 def criterion_01_golden_example(rng, n):
     a = parse_word("x1 x2 y2 x2^-1", 2)
     b = parse_word("y2 x1^-1", 2)
@@ -146,10 +151,10 @@ def criterion_06_degree_three_dual_path(rng, n):
         g = rng.randint(1, 3)
         a = random_word_rng(g, rng.randint(0, 10), rng)
         closed_form = embed3(wedge3(abelianize(a), ell(a)))
-        L = L_theta(a)
+        L = _L_of(a)
         ok = L.degree_part(3) == closed_form.degree_part(3)
         c = random_word_rng(g, rng.randint(0, 6), rng)
-        if not (ok and L_theta(a.inverse()) == L and L_theta(c.conjugate(a)) == L):
+        if not (ok and _L_of(a.inverse()) == L and _L_of(c.conjugate(a)) == L):
             raise SelfTestFailure(f"genus {g}, a = {a}, c = {c}")
     return n
 
@@ -159,9 +164,10 @@ def criterion_07_classical_twist_formula(rng, n):
         g = rng.randint(1, 3)
         a = random_word_rng(g, rng.randint(1, 10), rng)
         av = abelianize(a)
+        L = L_theta(av, ell(a))
         for k in range(2 * g):
             x = HVec.basis(g, k)
-            got = johnson_twist(a, TruncTensor.from_hvec(x, 2)).degree_part(1)
+            got = johnson_twist(L, TruncTensor.from_hvec(x, 2)).degree_part(1)
             want = x + av.scale(intersection(av, x))
             if got != TruncTensor.from_hvec(want, 2).degree_part(1):
                 raise SelfTestFailure(f"genus {g}, a = {a}, basis vector {k}")

@@ -157,10 +157,10 @@ class _Parser:
     def parse_term(self) -> list[int]:
         kind, text = self.take()
         if kind == "gen":
-            idx = int(text[1:])
-            if not 1 <= idx <= self.genus:
+            idx = _bounded_int(text[1:], MAX_GENUS)
+            if idx is None or not 1 <= idx <= self.genus:
                 raise WordError(
-                    f"generator index {idx} out of range 1..{self.genus} in {text!r}"
+                    f"generator index out of range 1..{self.genus} in {_shown(text)}"
                 )
             base = [generator(self.genus, text[0], idx).letters[0]]
         elif kind == "zeta":
@@ -202,7 +202,13 @@ class _Parser:
         kind, text = self.take()
         if kind != "int":
             raise WordError(f"expected integer exponent, got {text!r}")
-        n = int(text)
+        n = _bounded_int(text, MAX_LETTERS)
+        if n is None:
+            # |n| > MAX_LETTERS: only the identity survives such a power
+            if base:
+                raise WordError(f"exponent {_shown(text)} expands the word "
+                                f"to more than {MAX_LETTERS} letters")
+            return base
         if n == 0:
             raise WordError("exponent 0 is not allowed")
         if n < 0:
@@ -210,6 +216,36 @@ class _Parser:
             n = -n
         _check_length(len(base) * n)
         return base * n
+
+
+def _bounded_int(text: str, limit: int) -> int | None:
+    """The integer written as decimal digits after an optional sign, or None
+    when it has more significant digits than `limit`, so that its absolute
+    value exceeds `limit`. Only the significant digits reach int(), which
+    refuses text past 4300 digits with an error that names no token."""
+    unsigned = text.lstrip("+-")
+    digits = unsigned.lstrip("0") or "0"
+    if len(digits) > len(str(limit)):
+        return None
+    return int(text[:len(text) - len(unsigned)] + digits)
+
+
+def _shown(token: str) -> str:
+    """A token quoted for an error message, cut short past 20 characters."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:12]!r}... ({len(token)} characters)"
+
+
+def parse_genus(text: str) -> int:
+    """A genus field of input text; the range checks are parse_word's."""
+    try:
+        genus = _bounded_int(text.strip(), MAX_GENUS)
+    except ValueError:
+        raise WordError(f"genus {_shown(text)} is not an integer") from None
+    if genus is None:
+        raise WordError(f"genus {_shown(text)} out of range 1..{MAX_GENUS}")
+    return genus
 
 
 def _check_length(n: int):

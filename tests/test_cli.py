@@ -164,6 +164,44 @@ class TestInputLimits:
                                      f"got {MAX_GENUS + 1}"}
         assert lines[1]["verdict"] == "certified_positive_homological"
 
+    # past Python's 4300-digit int() limit, whose error names no token
+    LONG = 5000
+
+    @pytest.mark.parametrize("prefix,token,named", [
+        ("", "x" + "1" * LONG, "out of range 1..1"),
+        ("x1^", "9" * LONG, str(MAX_LETTERS)),
+        ("x1^", "-" + "9" * LONG, str(MAX_LETTERS)),
+    ], ids=["index", "exponent", "negative-exponent"])
+    def test_overlong_number_token_is_named(self, capsys, prefix, token, named):
+        code, _, err = run(capsys, "eval", "--genus", "1", prefix + token)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err and repr(token[:12]) in err
+        assert "4300" not in err
+
+    @pytest.mark.parametrize("word,expect", [
+        ("1^" + "9" * LONG, "word : 1"),
+        ("x" + "0" * LONG + "1", "word : x1"),
+        ("x1^-" + "0" * LONG + "2", "word : x1^-2"),
+    ], ids=["identity-power", "zero-padded-index", "zero-padded-exponent"])
+    def test_overlong_number_with_a_small_value(self, capsys, word, expect):
+        code, out, _ = run(capsys, "eval", "--genus", "1", word)
+        assert code == 0
+        assert expect in out
+
+    def test_overlong_batch_genus_is_named(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("1" * self.LONG + "\tx1\ty1\n"
+                         "1\tx1\ty1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert lines[0]["line"] == 1 and set(lines[0]) == {"line", "error"}
+        assert repr("1" * 12) in lines[0]["error"]
+        assert str(MAX_GENUS) in lines[0]["error"]
+        assert "4300" not in lines[0]["error"]
+        assert lines[1]["verdict"] == "certified_positive_homological"
+
 
 class TestTwistCheck:
     def test_consistent_pair(self, capsys):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -141,6 +142,23 @@ class TestTwistConsistency:
     def test_requires_zero_algebraic_intersection(self):
         with pytest.raises(ValueError):
             twist_consistency(1, parse_word("x1", 1), parse_word("y1", 1))
+
+    def test_evaluates_ell_once_per_word(self, monkeypatch):
+        # the expansion and the twist datum are built from the report's ell
+        # (the package exports the function ell, which hides the module)
+        ell_module = importlib.import_module("curveobs.ell")
+        fold = ell_module.ell_of_letters
+        calls = []
+
+        def counted(genus, letters):
+            calls.append(letters)
+            return fold(genus, letters)
+
+        monkeypatch.setattr(ell_module, "ell_of_letters", counted)
+        a = parse_word("x1 x2 y2 x2^-1", 2)
+        b = parse_word("y2 x1^-1", 2)
+        assert twist_consistency(2, a, b)[0]
+        assert calls == [a.letters, b.letters]
 
     def test_random_pairs(self):
         rng = random.Random(3)

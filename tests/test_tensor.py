@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from curveobs.ell import ell
 from curveobs.expansion import L_theta, johnson_twist, theta0
-from curveobs.homology import HVec, abelianize, basis_pairing, intersection
+from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
+                               mate)
 from curveobs.tensor import TruncTensor, cyclic_N, derive
 from curveobs.wedge import embed2, embed3, wedge, wedge3
 from curveobs.words import Word, parse_word, random_word_rng
@@ -20,6 +22,14 @@ def rand_tensor(genus, rng, maxdeg=3, min_deg=0, max_deg=None):
         seq = tuple(rng.randrange(0, 2 * genus) for _ in range(d))
         terms[seq] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
     return TruncTensor(genus, maxdeg, terms)
+
+
+def theta0_of(w):
+    return theta0(abelianize(w), ell(w))
+
+
+def L_of(a):
+    return L_theta(abelianize(a), ell(a))
 
 
 def rand_hvec(genus, rng):
@@ -144,7 +154,7 @@ class TestDeriveMatchesFullScan:
 
 class TestTheta0:
     def test_generator_through_degree_two(self):
-        t = theta0(parse_word("x1", 1))
+        t = theta0_of(parse_word("x1", 1))
         expect = TruncTensor(1, 2, {
             (): 1, (X1,): 1,
             (X1, Y1): Fraction(1, 2), (Y1, X1): Fraction(-1, 2),
@@ -153,7 +163,7 @@ class TestTheta0:
         assert t.maxdeg == 2  # degree 3 is unknown, so it is not stored
 
     def test_identity(self):
-        assert theta0(Word.identity(2)) == TruncTensor.one(2, 2)
+        assert theta0_of(Word.identity(2)) == TruncTensor.one(2, 2)
 
     def test_multiplicative_mod_degree_three(self):
         rng = random.Random(6)
@@ -161,8 +171,8 @@ class TestTheta0:
             g = rng.randint(1, 3)
             u = random_word_rng(g, rng.randint(0, 10), rng)
             v = random_word_rng(g, rng.randint(0, 10), rng)
-            prod = theta0(u) * theta0(v)
-            assert prod == theta0(u * v)
+            prod = theta0_of(u) * theta0_of(v)
+            assert prod == theta0_of(u * v)
 
 
 class TestLTheta:
@@ -172,7 +182,7 @@ class TestLTheta:
             g = rng.randint(1, 3)
             a = random_word_rng(g, rng.randint(0, 10), rng)
             av = TruncTensor.from_hvec(abelianize(a))
-            assert L_theta(a).degree_part(2) == av * av
+            assert L_of(a).degree_part(2) == av * av
 
     def test_degree_three_dual_path(self):
         rng = random.Random(8)
@@ -180,7 +190,7 @@ class TestLTheta:
             g = rng.randint(1, 3)
             a = random_word_rng(g, rng.randint(0, 10), rng)
             closed_form = embed3(wedge3(abelianize(a), ell(a)))
-            assert L_theta(a).degree_part(3) == closed_form.degree_part(3)
+            assert L_of(a).degree_part(3) == closed_form.degree_part(3)
 
     def test_invariance(self):
         rng = random.Random(9)
@@ -188,8 +198,8 @@ class TestLTheta:
             g = rng.randint(1, 3)
             a = random_word_rng(g, rng.randint(0, 8), rng)
             c = random_word_rng(g, rng.randint(0, 8), rng)
-            assert L_theta(a.inverse()) == L_theta(a)
-            assert L_theta(c.conjugate(a)) == L_theta(a)
+            assert L_of(a.inverse()) == L_of(a)
+            assert L_of(c.conjugate(a)) == L_of(a)
 
 
 class TestDerivationProps:
@@ -220,13 +230,13 @@ class TestDerivationProps:
 class TestJohnsonTwist:
     def test_fixes_unit(self):
         a = parse_word("x1 y1", 1)
-        assert johnson_twist(a, TruncTensor.one(1)).degree_part(0) == \
+        assert johnson_twist(L_of(a), TruncTensor.one(1)).degree_part(0) == \
             TruncTensor.one(1, 2).degree_part(0)
 
     def test_classical_degree_one_example(self):
         # twisting along x1 sends Y1 to Y1 + X1 in degree one
         a = parse_word("x1", 1)
-        got = johnson_twist(a, theta0(parse_word("y1", 1))).degree_part(1)
+        got = johnson_twist(L_of(a), theta0_of(parse_word("y1", 1))).degree_part(1)
         want = TruncTensor.from_hvec(HVec.basis(1, Y1) + HVec.basis(1, X1), 2)
         assert got == want.degree_part(1)
 
@@ -236,13 +246,165 @@ class TestJohnsonTwist:
             g = rng.randint(1, 3)
             a = random_word_rng(g, rng.randint(1, 10), rng)
             av = abelianize(a)
+            L = L_of(a)
             for k in range(2 * g):
                 x = HVec.basis(g, k)
-                got = johnson_twist(a, TruncTensor.from_hvec(x, 2)).degree_part(1)
+                got = johnson_twist(L, TruncTensor.from_hvec(x, 2)).degree_part(1)
                 want = x + av.scale(intersection(av, x))
                 assert got == TruncTensor.from_hvec(want, 2).degree_part(1)
 
     def test_output_degree_flag(self):
         a = parse_word("x1", 2)
-        out = johnson_twist(a, theta0(parse_word("y1", 2)))
+        out = johnson_twist(L_of(a), theta0_of(parse_word("y1", 2)))
         assert out.maxdeg == 2
+
+
+# --- the Fraction-dict arithmetic that int-numerator tensors replaced -------
+# Each reference takes and returns {sequence: Fraction} dicts, and ref_clean
+# does to every result what the Fraction-dict constructor did: drop zero
+# coefficients and terms above the degree bound.
+
+def ref_clean(terms, maxdeg):
+    return {s: c for s, c in terms.items() if c != 0 and len(s) <= maxdeg}
+
+
+def ref_add(t1, t2, maxdeg):
+    out = dict(t1)
+    for s, c in t2.items():
+        out[s] = out.get(s, 0) + c
+    return ref_clean(out, maxdeg)
+
+
+def ref_scale(t, c, maxdeg):
+    c = Fraction(c)
+    return ref_clean({s: c * v for s, v in t.items()}, maxdeg)
+
+
+def ref_mul(t1, t2, maxdeg):
+    out = {}
+    for s1, c1 in t1.items():
+        room = maxdeg - len(s1)
+        for s2, c2 in t2.items():
+            if len(s2) > room:
+                continue
+            s = s1 + s2
+            out[s] = out.get(s, 0) + c1 * c2
+    return ref_clean(out, maxdeg)
+
+
+def ref_cyclic_N(t, maxdeg):
+    out = {}
+    for s, c in t.items():
+        for j in range(len(s)):
+            r = s[j:] + s[:j]
+            out[r] = out.get(r, Fraction(0)) + c
+    return ref_clean(out, maxdeg)
+
+
+def ref_derive(h, u, maxdeg):
+    images = {}
+    for hs, hc in h.items():
+        y = mate(hs[0])
+        images.setdefault(y, []).append((hs[1:], hc * basis_pairing(y, hs[0])))
+    out = {}
+    for s, c in u.items():
+        for p, y in enumerate(s):
+            for tail, hc in images.get(y, ()):
+                t = s[:p] + tail + s[p + 1:]
+                if len(t) > maxdeg:
+                    continue
+                out[t] = out.get(t, 0) + c * hc
+    return ref_clean(out, maxdeg)
+
+
+def ref_johnson_twist(L, u, maxdeg):
+    D = min(2, maxdeg)
+    out = term = ref_clean(u, D)
+    for k in range(1, 65):
+        term = ref_scale(ref_derive(L, term, D), Fraction(-1, k), D)
+        if not term:
+            return out
+        out = ref_add(out, term, D)
+    raise AssertionError("twist exponential failed to terminate")
+
+
+DENOMINATORS = (1, 2, 3, 4, 6, 8)
+
+
+def rational_tensor(genus, rng, maxdeg, min_deg=0):
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        d = rng.randint(min_deg, maxdeg)
+        seq = tuple(rng.randrange(2 * genus) for _ in range(d))
+        terms[seq] = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+    return TruncTensor(genus, maxdeg, terms)
+
+
+def rational_coeff(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                    rng.choice(DENOMINATORS))
+
+
+def is_canonical(t):
+    return (t.den > 0 and 0 not in t.nums.values()
+            and gcd(t.den, *t.nums.values()) == 1)
+
+
+def matches(got, ref_terms):
+    """got holds exactly the reference coefficients, in canonical form."""
+    return (is_canonical(got) and got.terms == ref_terms
+            and got == TruncTensor(got.genus, got.maxdeg, ref_terms))
+
+
+class TestIntNumeratorsMatchFractionReference:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_ring_operations(self, g):
+        rng = random.Random(200 + g)
+        for _ in range(300):
+            D = rng.randint(1, 3)
+            t1, t2 = rational_tensor(g, rng, D), rational_tensor(g, rng, D)
+            a, b = t1.terms, t2.terms
+            c = rational_coeff(rng)
+            assert matches(t1 + t2, ref_add(a, b, D)), (t1, t2)
+            assert matches(t1 - t2, ref_add(a, ref_scale(b, -1, D), D)), (t1, t2)
+            assert matches(t1.scale(c), ref_scale(a, c, D)), (t1, c)
+            assert matches(t1 * t2, ref_mul(a, b, D)), (t1, t2)
+            assert matches(cyclic_N(t1), ref_cyclic_N(a, D)), t1
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_derive(self, g):
+        rng = random.Random(210 + g)
+        for _ in range(300):
+            D = rng.randint(1, 3)
+            h = rational_tensor(g, rng, rng.choice([2, 3]), min_deg=1)
+            u = rational_tensor(g, rng, D)
+            assert matches(derive(h, u), ref_derive(h.terms, u.terms, D)), (h, u)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_johnson_twist(self, g):
+        rng = random.Random(220 + g)
+        for _ in range(100):
+            D = rng.randint(1, 3)
+            abs_a = rand_hvec(g, rng)
+            ell_a = (wedge(rand_hvec(g, rng), rand_hvec(g, rng))
+                     + wedge(rand_hvec(g, rng), rand_hvec(g, rng)).scale(
+                         rational_coeff(rng)))
+            l = ref_add(TruncTensor.from_hvec(abs_a).terms, embed2(ell_a).terms, 3)
+            L = L_theta(abs_a, ell_a)
+            assert matches(L, ref_scale(ref_cyclic_N(ref_mul(l, l, 3), 3),
+                                        Fraction(1, 2), 3)), (abs_a, ell_a)
+            u = rational_tensor(g, rng, D)
+            assert matches(johnson_twist(L, u),
+                           ref_johnson_twist(L.terms, u.terms, D)), (L, u)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_canonical_form(self, g):
+        rng = random.Random(230 + g)
+        for _ in range(300):
+            t = rational_tensor(g, rng, rng.randint(1, 3))
+            assert is_canonical(t)
+            assert t.scale(Fraction(1, 3)).scale(3) == t
+            assert t + t - t == t
+            zero = t - t
+            assert zero.is_zero() and zero.den == 1
+            assert zero == TruncTensor(g, t.maxdeg)
