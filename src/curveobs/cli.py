@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full obstruction report for a pair")
-    p_an.add_argument("--genus", type=int,
+    p_an.add_argument("--genus", type=parse_genus,
                       help="required unless --pairs carries per-line genus")
     p_an.add_argument("--a", dest="word_a", help="first word")
     p_an.add_argument("--b", dest="word_b", help="second word")
@@ -51,13 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tw = sub.add_parser("twist-check",
                           help="degree-2 twist identity cross-check for a pair")
-    p_tw.add_argument("--genus", type=int, required=True)
+    p_tw.add_argument("--genus", type=parse_genus, required=True)
     p_tw.add_argument("--a", dest="word_a", required=True)
     p_tw.add_argument("--b", dest="word_b", required=True)
     p_tw.add_argument("--format", choices=["text", "json"], default="text")
 
     p_ev = sub.add_parser("eval", help="homology class and invariant of a word")
-    p_ev.add_argument("--genus", type=int, required=True)
+    p_ev.add_argument("--genus", type=parse_genus, required=True)
     p_ev.add_argument("word")
     p_ev.add_argument("--format", choices=["text", "json"], default="text")
 

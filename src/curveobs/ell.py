@@ -9,10 +9,11 @@ is evaluated on raw letter sequences and is invariant under free reduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .homology import HVec
-from .wedge import Wedge2, act2, wedge
-from .words import Word
+from .homology import HVec, basis_pairing, mate
+from .wedge import Wedge2, wedge
+from .words import Word, check_genus
 
 
 def _letter_ell(genus: int, letter: int) -> Wedge2:
@@ -49,5 +50,19 @@ def ell(w: Word) -> Wedge2:
 
 def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
                        abs_b: HVec, ell_b: Wedge2) -> HVec:
-    """v = ell(a) acting on |b| plus ell(b) acting on |a|."""
-    return act2(ell_a, abs_b) + act2(ell_b, abs_a)
+    """v = ell(a) acting on |b| plus ell(b) acting on |a|: act2's sum, taken
+    on int numerators over the common denominator d of the inputs."""
+    for x in (abs_b, ell_a, ell_b):
+        check_genus(abs_a, x)
+    d = lcm(*(c.denominator for x in (abs_a, abs_b) for c in x.coords),
+            *(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
+    out = [0] * (2 * abs_a.genus)
+    for w, z in ((ell_a, abs_b), (ell_b, abs_a)):
+        # dz[i] = d (z . e_i); act2: (X_i^X_j)(z) = (z . e_i) X_j - (z . e_j) X_i
+        zn = [c.numerator * (d // c.denominator) for c in z.coords]
+        dz = [basis_pairing(mate(i), i) * zn[mate(i)] for i in range(len(out))]
+        for (i, j), c in w.terms.items():
+            n = c.numerator * (d // c.denominator)
+            out[j] += n * dz[i]
+            out[i] -= n * dz[j]
+    return HVec(abs_a.genus, tuple(Fraction(x, d * d) for x in out))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .homology import HVec
-from .tensor import TruncTensor, cyclic_N, derive
+from .tensor import TruncTensor, _derivation, cyclic_N
 from .wedge import Wedge2, embed2
 
 EXPANSION_NAME = "theta0"
@@ -34,10 +34,12 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
 
 def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
     """Derivation datum of the twist along a word a, through degree 3, from
-    its class |a| and ell(a): (1/2) N(l l) for l = |a| + embedded ell(a).
-    Degree 4 would need unknown data."""
-    l = TruncTensor.from_hvec(abs_a, 3) + embed2(ell_a, 3)
-    return cyclic_N(l * l).scale(Fraction(1, 2))
+    its class h = |a| and e = embedded ell(a): (1/2) N(l l) for l = h + e,
+    which is h h + N(h e) through degree 3, as l l = h h + h e + e h + (degree
+    4), (1/2) N(h h) = h h, and N(e h) = N(h e): both sum the same three
+    rotations of each term. Degree 4 would need unknown data."""
+    h = TruncTensor.from_hvec(abs_a, 3)
+    return h * h + cyclic_N(h * embed2(ell_a, 3))
 
 
 def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
@@ -48,11 +50,12 @@ def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
     derivation by L never lowers degree, so higher terms of u cannot reach it.
     """
     D = min(2, u.maxdeg)
+    apply_L = _derivation(L)
     out = term = TruncTensor._make(
         u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
-    # term_k = (-L)^k(u) / k!
+    # term_k = (-L)^k(u) / k!, with L's derivation index built once
     for k in range(1, _MAX_EXP_ITER + 1):
-        term = derive(L, term).scale(Fraction(-1, k))
+        term = apply_L(term).scale(Fraction(-1, k))
         if term.is_zero():
             break
         out = out + term

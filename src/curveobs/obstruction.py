@@ -17,7 +17,7 @@ from .expansion import EXPANSION_NAME, L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
 from .tensor import TruncTensor
-from .wedge import Wedge2, embed2, wedge
+from .wedge import Wedge2
 from .words import Word, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -124,9 +124,9 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
 
 def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, TruncTensor]:
     """Compare the degree-2 change of b's expansion under the twist along a
-    (derivation-exponential path) against the closed form |a| ^ v. Both sides
-    are built from analyze's report: the expansion of b and the twist datum
-    from its |b|, ell(b) and |a|, ell(a), the closed form from its |a| and v.
+    (derivation-exponential path) against the closed form |a| ^ v, as the
+    commutator |a| v - v |a|. Both sides are built from analyze's report: the
+    expansion of b and the twist datum from its |b|, ell(b) and |a|, ell(a).
 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
@@ -136,5 +136,6 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, 
     tb = theta0(rep.abs_b, rep.ell_b)
     L = L_theta(rep.abs_a, rep.ell_a)
     lhs = johnson_twist(L, tb).degree_part(2) - tb.degree_part(2)
-    rhs = embed2(wedge(rep.abs_a, rep.v), 2)
+    h, v = (TruncTensor.from_hvec(x, 2) for x in (rep.abs_a, rep.v))
+    rhs = h * v - v * h
     return lhs == rhs, lhs, rhs

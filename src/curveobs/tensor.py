@@ -4,7 +4,8 @@ Elements are sparse maps from basis-index sequences (tuples over 0..2g-1) to
 exact rational coefficients, stored as int numerators over one shared positive
 denominator in lowest terms (gcd of the denominator and every numerator is 1),
 so every operation runs on ints. Fractions appear only where coefficients
-enter or leave: the constructor, `coeff`, `constant` and the `terms` view.
+enter or leave: the constructors read their numerators and denominators,
+and `coeff` and the `terms` view build them.
 Every operation discards terms above the degree bound. Every stored
 coefficient is exact: a tensor whose higher coefficients are not known is built
 at a lower degree bound instead.
@@ -30,27 +31,9 @@ class TruncTensor:
 
     def __init__(self, genus: int, maxdeg: int = 3,
                  terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if maxdeg < 1:
-            raise ValueError("degree bound must be >= 1")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            n = 2 * genus
-            for seq, c in terms.items():
-                if len(seq) > maxdeg:
-                    continue
-                if any(not 0 <= i < n for i in seq):
-                    raise ValueError(f"basis index out of range in {seq}")
-                c = Fraction(c)
-                if c != 0:
-                    clean[tuple(seq)] = c
-        # already in lowest terms: every c is, and den is the lcm of their
-        # denominators, so no prime divides den and every numerator
-        den = lcm(*(c.denominator for c in clean.values()))
-        self.genus = genus
-        self.maxdeg = maxdeg
-        self.nums = {s: c.numerator * (den // c.denominator)
-                     for s, c in clean.items()}
-        self.den = den
+        t = TruncTensor._from_rationals(
+            genus, maxdeg, ((tuple(s), Fraction(c)) for s, c in (terms or {}).items()))
+        self.genus, self.maxdeg, self.nums, self.den = genus, maxdeg, t.nums, t.den
 
     @classmethod
     def _make(cls, genus: int, maxdeg: int, nums: dict[tuple[int, ...], int],
@@ -66,16 +49,31 @@ class TruncTensor:
         t.genus, t.maxdeg, t.nums, t.den = genus, maxdeg, nums, den
         return t
 
+    @classmethod
+    def _from_rationals(cls, genus: int, maxdeg: int, items) -> "TruncTensor":
+        """The tensor of (sequence, rational) items from outside data, with
+        distinct sequences: checks maxdeg >= 1, cuts longer terms, and
+        rejects an index outside 0..2g-1."""
+        if maxdeg < 1:
+            raise ValueError("degree bound must be >= 1")
+        kept = [(s, c) for s, c in items if len(s) <= maxdeg]
+        for s, _ in kept:
+            if not all(0 <= i < 2 * genus for i in s):
+                raise ValueError(f"basis index out of range in {s}")
+        den = lcm(*(c.denominator for _, c in kept))
+        return cls._make(genus, maxdeg, {s: c.numerator * (den // c.denominator)
+                                         for s, c in kept}, den)
+
     # --- constructors --------------------------------------------------------
 
     @classmethod
     def one(cls, genus: int, maxdeg: int = 3) -> "TruncTensor":
-        return cls(genus, maxdeg, {(): Fraction(1)})
+        return cls._from_rationals(genus, maxdeg, [((), 1)])
 
     @classmethod
     def from_hvec(cls, v: HVec, maxdeg: int = 3) -> "TruncTensor":
-        return cls(v.genus, maxdeg,
-                   {(k,): c for k, c in enumerate(v.coords) if c != 0})
+        return cls._from_rationals(v.genus, maxdeg,
+                                   (((k,), c) for k, c in enumerate(v.coords)))
 
     # --- basics --------------------------------------------------------------
 
@@ -94,9 +92,6 @@ class TruncTensor:
 
     def coeff(self, seq) -> Fraction:
         return Fraction(self.nums.get(tuple(seq), 0), self.den)
-
-    def constant(self) -> Fraction:
-        return self.coeff(())
 
     def degree_part(self, k: int) -> "TruncTensor":
         return TruncTensor._make(
@@ -183,9 +178,14 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
 
     h acts on a single homology factor Y by contracting the first factor:
     (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
-    Truncation follows u; h may carry a higher degree bound.
+    Truncation follows u; h may carry a higher degree bound. `_derivation(h)`
+    builds h's index of images once; the function it returns applies them.
     """
-    check_genus(h, u)
+    return _derivation(h)(u)
+
+
+def _derivation(h: TruncTensor):
+    """The derivation attached to h as a function of u; see `derive`."""
     if () in h.nums:
         raise ValueError("derivation datum must have zero constant term")
     # images[y]: the derivation's value on the factor y, as (tail, numerator)
@@ -195,14 +195,18 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
     for hs, hc in sorted(h.nums.items(), key=_degree):
         y = mate(hs[0])
         images.setdefault(y, []).append((hs[1:], hc * basis_pairing(y, hs[0])))
-    D = u.maxdeg
-    out: dict[tuple[int, ...], int] = {}
-    for s, c in u.nums.items():
-        room = D - len(s) + 1
-        for p, y in enumerate(s):
-            for tail, hc in images.get(y, ()):
-                if len(tail) > room:
-                    break
-                t = s[:p] + tail + s[p + 1:]
-                out[t] = out.get(t, 0) + c * hc
-    return TruncTensor._make(u.genus, D, out, h.den * u.den)
+
+    def apply(u: TruncTensor) -> TruncTensor:
+        check_genus(h, u)
+        D = u.maxdeg
+        out: dict[tuple[int, ...], int] = {}
+        for s, c in u.nums.items():
+            room = D - len(s) + 1
+            for p, y in enumerate(s):
+                for tail, hc in images.get(y, ()):
+                    if len(tail) > room:
+                        break
+                    t = s[:p] + tail + s[p + 1:]
+                    out[t] = out.get(t, 0) + c * hc
+        return TruncTensor._make(u.genus, D, out, h.den * u.den)
+    return apply

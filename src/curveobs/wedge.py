@@ -138,18 +138,13 @@ def omega(genus: int) -> Wedge2:
 
 def embed2(w: Wedge2, maxdeg: int = 3) -> TruncTensor:
     """X^Y -> XY - YX."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for (i, j), c in w.terms.items():
-        terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-        terms[(j, i)] = terms.get((j, i), Fraction(0)) - c
-    return TruncTensor(w.genus, maxdeg, terms)
+    return TruncTensor._from_rationals(w.genus, maxdeg, [
+        t for (i, j), c in w.terms.items() for t in (((i, j), c), ((j, i), -c))])
 
 
 def embed3(t: Wedge3) -> TruncTensor:
     """X^Y^Z -> XYZ + YZX + ZXY - XZY - ZYX - YXZ."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for (i, j, k), c in t.terms.items():
+    return TruncTensor._from_rationals(t.genus, 3, [
+        (seq, sign * c) for (i, j, k), c in t.terms.items()
         for seq, sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                          ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1)):
-            terms[seq] = terms.get(seq, Fraction(0)) + sign * c
-    return TruncTensor(t.genus, 3, terms)
+                          ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1))])

@@ -219,11 +219,13 @@ class _Parser:
 
 
 def _bounded_int(text: str, limit: int) -> int | None:
-    """The integer written as decimal digits after an optional sign, or None
-    when it has more significant digits than `limit`, so that its absolute
-    value exceeds `limit`. Only the significant digits reach int(), which
-    refuses text past 4300 digits with an error that names no token."""
-    unsigned = text.lstrip("+-")
+    """The integer written as ASCII digits after an optional sign, or None if
+    it has more significant digits than `limit`; ValueError for other text,
+    such as the '_' and non-ASCII digits int() reads. Only the significant
+    digits reach int(), which errs past 4300 digits without naming a token."""
+    unsigned = text[1:] if text[:1] in "+-" else text
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        raise ValueError(text)
     digits = unsigned.lstrip("0") or "0"
     if len(digits) > len(str(limit)):
         return None

@@ -202,6 +202,41 @@ class TestInputLimits:
         assert "4300" not in lines[0]["error"]
         assert lines[1]["verdict"] == "certified_positive_homological"
 
+    # int() reads '_' separators and the digits of other scripts; a genus
+    # field takes ASCII digits with an optional sign only
+    NOT_ASCII_INTS = ["1_0", "\uff13", "\u0663", "+-3", "-"]
+
+    @pytest.mark.parametrize("genus", NOT_ASCII_INTS)
+    def test_genus_option_takes_ascii_digits_only(self, capsys, genus):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--genus", genus, "x1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and repr(genus) in err
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "x1"], ["analyze", "--a", "x1", "--b", "y1"],
+        ["twist-check", "--a", "x1", "--b", "x1"]])
+    def test_every_genus_option_is_parsed_alike(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--genus", "1_0", *command[1:]])
+        assert exc.value.code == 1
+        assert "'1_0'" in capsys.readouterr().err
+        assert run(capsys, command[0], "--genus", "+2", *command[1:])[0] == 0
+
+    def test_batch_genus_takes_ascii_digits_only(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"{g}\tx1\ty1\n" for g in self.NOT_ASCII_INTS)
+                         + "1\tx1\ty1\n", encoding="utf-8")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        for n, (genus, line) in enumerate(zip(self.NOT_ASCII_INTS, lines), 1):
+            assert line == {"line": n,
+                            "error": f"genus {genus!r} is not an integer"}
+        assert len(lines) == len(self.NOT_ASCII_INTS) + 1
+        assert lines[-1]["verdict"] == "certified_positive_homological"
+
 
 class TestTwistCheck:
     def test_consistent_pair(self, capsys):

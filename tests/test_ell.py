@@ -113,3 +113,55 @@ class TestObstructionVector:
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
             v_of(parse_word("x1", 1), parse_word("x1", 2))
+
+
+# --- the int obstruction vector against the act2 reference ------------------
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def rational_hvec(genus, rng):
+    """Sparse, so that zero coordinates and zero vectors occur."""
+    return HVec.from_coords(genus, [rational(rng) if rng.random() < 0.5 else 0
+                                    for _ in range(2 * genus)])
+
+
+def rational_wedge2(genus, rng):
+    n = 2 * genus
+    return Wedge2.make(genus, [((rng.randrange(n), rng.randrange(n)),
+                                rational(rng))
+                               for _ in range(rng.randint(0, 2 * n))])
+
+
+class TestObstructionVectorMatchesAct2:
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_random_rational_inputs(self, g):
+        rng = random.Random(300 + g)
+        for _ in range(100):
+            abs_a, abs_b = rational_hvec(g, rng), rational_hvec(g, rng)
+            ell_a, ell_b = rational_wedge2(g, rng), rational_wedge2(g, rng)
+            got = obstruction_vector(abs_a, ell_a, abs_b, ell_b)
+            assert got == act2(ell_a, abs_b) + act2(ell_b, abs_a), \
+                (abs_a, ell_a, abs_b, ell_b)
+            assert all(type(c) is Fraction for c in got.coords)
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_random_words(self, g):
+        rng = random.Random(320 + g)
+        for _ in range(20):
+            a = random_word_rng(g, rng.randint(0, 12), rng)
+            b = random_word_rng(g, rng.randint(0, 12), rng)
+            want = act2(ell(a), abelianize(b)) + act2(ell(b), abelianize(a))
+            assert v_of(a, b) == want, (a, b)
+
+    def test_every_genus_mismatch_is_rejected(self):
+        one, two = HVec.zero(1), HVec.zero(2)
+        w1, w2 = Wedge2.zero(1), Wedge2.zero(2)
+        for args in ((one, w1, two, w1), (one, w2, one, w1),
+                     (one, w1, one, w2), (two, w1, two, w1)):
+            with pytest.raises(ValueError):
+                obstruction_vector(*args)

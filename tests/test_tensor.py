@@ -8,8 +8,9 @@ from curveobs.ell import ell
 from curveobs.expansion import L_theta, johnson_twist, theta0
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
+from curveobs.obstruction import analyze, twist_consistency
 from curveobs.tensor import TruncTensor, cyclic_N, derive
-from curveobs.wedge import embed2, embed3, wedge, wedge3
+from curveobs.wedge import Wedge2, embed2, embed3, omega, wedge, wedge3
 from curveobs.words import Word, parse_word, random_word_rng
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
@@ -408,3 +409,131 @@ class TestIntNumeratorsMatchFractionReference:
             zero = t - t
             assert zero.is_zero() and zero.den == 1
             assert zero == TruncTensor(g, t.maxdeg)
+
+
+# --- the twist path's int fast paths against slower public references -------
+# Coefficients have denominators 1, 2, 3, 4 and 6; every reference builds its
+# tensors with the validating public constructor.
+
+def small_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+
+
+def sparse_hvec(genus, rng):
+    return HVec.from_coords(genus, [small_rational(rng) if rng.random() < 0.5
+                                    else 0 for _ in range(2 * genus)])
+
+
+def sparse_wedge2(genus, rng):
+    n = 2 * genus
+    return Wedge2.make(genus, [((rng.randrange(n), rng.randrange(n)),
+                                small_rational(rng))
+                               for _ in range(rng.randint(0, 2 * n))])
+
+
+def embed2_terms(w):
+    terms = {}
+    for (i, j), c in w.terms.items():
+        terms[(i, j)], terms[(j, i)] = c, -c
+    return terms
+
+
+def twist_by_derive_loop(L, u):
+    """exp(-L) on u cut to degree <= 2, one public `derive` call per step."""
+    D = min(2, u.maxdeg)
+    out = term = TruncTensor(u.genus, D, dict(u.terms))
+    for k in range(1, 65):
+        term = derive(L, term).scale(Fraction(-1, k))
+        if term.is_zero():
+            return out
+        out = out + term
+    raise AssertionError("twist exponential failed to terminate")
+
+
+GENERA = range(1, 13)
+
+
+class TestTwistFastPaths:
+    @pytest.mark.parametrize("g", GENERA)
+    def test_edges_match_the_constructor(self, g):
+        rng = random.Random(400 + g)
+        for _ in range(20):
+            v, w = sparse_hvec(g, rng), sparse_wedge2(g, rng)
+            for D in (1, 2, 3):
+                # matches: the Fraction values themselves, canonical form, and
+                # equality with the public constructor's tensor
+                want = {(k,): c for k, c in enumerate(v.coords)}
+                assert matches(TruncTensor.from_hvec(v, D), ref_clean(want, D)), (v, D)
+                want = embed2_terms(w)
+                assert matches(embed2(w, D), ref_clean(want, D)), (w, D)
+            t = wedge3(v, w)
+            want = {}
+            for (i, j, k), c in t.terms.items():
+                for s, sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+                                ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1)):
+                    want[s] = want.get(s, 0) + sign * c
+            assert matches(embed3(t), ref_clean(want, 3)), t
+            assert matches(TruncTensor.one(g, 2), {(): 1})
+
+    def test_edges_keep_the_constructor_checks(self):
+        bad2 = Wedge2.make(1, [((0, 5), 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            embed2(bad2)
+        with pytest.raises(ValueError, match="out of range"):
+            embed2(bad2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            TruncTensor(1, 3, embed2_terms(bad2))
+        with pytest.raises(ValueError, match="out of range"):
+            embed3(wedge3(HVec.basis(1, 1), bad2))
+        # the degree cut comes first, as in the constructor
+        assert embed2(bad2, 1).is_zero()
+        assert TruncTensor(1, 1, embed2_terms(bad2)).is_zero()
+        for make in (lambda: TruncTensor.one(1, 0),
+                     lambda: TruncTensor.from_hvec(HVec.basis(1, 0), 0),
+                     lambda: embed2(omega(1), 0)):
+            with pytest.raises(ValueError, match="degree bound"):
+                make()
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_L_theta_matches_half_N_of_l_squared(self, g):
+        rng = random.Random(420 + g)
+        for _ in range(10):
+            abs_a, ell_a = sparse_hvec(g, rng), sparse_wedge2(g, rng)
+            l = TruncTensor(g, 3, {**{(k,): c for k, c in enumerate(abs_a.coords)},
+                                   **embed2_terms(ell_a)})
+            want = cyclic_N(l * l).scale(Fraction(1, 2))
+            got = L_theta(abs_a, ell_a)
+            assert is_canonical(got) and got == want, (abs_a, ell_a)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_johnson_twist_matches_the_derive_loop(self, g):
+        rng = random.Random(440 + g)
+        for _ in range(10):
+            L = L_theta(sparse_hvec(g, rng), sparse_wedge2(g, rng))
+            for u in (theta0(sparse_hvec(g, rng), sparse_wedge2(g, rng)),
+                      rational_tensor(g, rng, rng.randint(1, 3))):
+                got = johnson_twist(L, u)
+                assert is_canonical(got), (L, u)
+                assert got == twist_by_derive_loop(L, u), (L, u)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_commutator_is_embedded_wedge(self, g):
+        rng = random.Random(460 + g)
+        for _ in range(30):
+            u, v = sparse_hvec(g, rng), sparse_hvec(g, rng)
+            tu, tv = TruncTensor.from_hvec(u, 2), TruncTensor.from_hvec(v, 2)
+            assert tu * tv - tv * tu == embed2(wedge(u, v), 2), (u, v)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_twist_check_closed_form_is_embedded_wedge(self, g):
+        rng = random.Random(480 + g)
+        checked = 0
+        while checked < 5:
+            a = random_word_rng(g, rng.randint(1, 12), rng)
+            b = random_word_rng(g, rng.randint(1, 12), rng)
+            rep = analyze(g, a, b)
+            if rep.i_A != 0:
+                continue
+            ok, lhs, rhs = twist_consistency(g, a, b)
+            assert ok and rhs == embed2(wedge(rep.abs_a, rep.v), 2), (a, b)
+            checked += 1
