@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -207,3 +209,68 @@ class TestLatticeMember:
     def test_membership_symmetric_in_generators(self):
         for v, u1, u2 in self._random_instances(200, 23):
             assert lattice_member(v, u1, u2).member == lattice_member(v, u2, u1).member
+
+
+# every way a record is copied: shallow, deep and each pickle protocol
+COPIES = [copy.copy, copy.deepcopy] + [
+    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestRecords:
+    """HVec and LatticeWitness are immutable values: equal and hashed by
+    value, copyable."""
+
+    def test_hvec_equality_and_hash(self):
+        v = HVec.from_coords(2, [1, 0, Fraction(1, 2), -3])
+        assert v == HVec(genus=2, coords=(1, 0, Fraction(1, 2), -3))
+        assert hash(v) == hash(hv(2, X1=1, X2=Fraction(1, 2), Y2=-3))
+        assert v != -v and v != HVec.zero(2)
+        assert HVec.zero(1) != HVec.zero(2)
+        assert v != (2, v.coords) and v != LatticeWitness(False)
+
+    def test_witness_equality_and_hash(self):
+        w = LatticeWitness(True, 1, 0)
+        assert w == LatticeWitness(member=True, m=1, n=0)
+        assert hash(w) == hash(LatticeWitness(True, m=1, n=0))
+        assert LatticeWitness(False) == LatticeWitness(False, None, None)
+        assert LatticeWitness(False) != LatticeWitness(True)
+        assert w != LatticeWitness(True, 0, 1) and w != (True, 1, 0)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        v, w = HVec.zero(1), LatticeWitness(True, 1, 0)
+        for obj, field in ((v, "genus"), (v, "coords"), (w, "member"),
+                           (w, "m")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 5)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        assert v == HVec.zero(1) and w == LatticeWitness(True, 1, 0)
+
+    def test_repr(self):
+        assert repr(hv(2, X1=1, Y2=Fraction(-1, 2))) == (
+            "HVec(genus=2, coords=(Fraction(1, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(-1, 2)))")
+        assert repr(LatticeWitness(True, 1, 0)) == (
+            "LatticeWitness(member=True, m=1, n=0)")
+        assert str(LatticeWitness(False)) == (
+            "LatticeWitness(member=False, m=None, n=None)")
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies(self, copier):
+        for obj in (hv(2, X1=1, Y2=Fraction(-1, 2)), LatticeWitness(False),
+                    LatticeWitness(True, -2, 3)):
+            c = copier(obj)
+            assert type(c) is type(obj) and c == obj and repr(c) == repr(obj)
+
+    @pytest.mark.parametrize("coords", [(), (1,), (1, 2, 3)])
+    def test_hvec_coordinate_count(self, coords):
+        with pytest.raises(ValueError) as exc:
+            HVec(1, coords)
+        assert str(exc.value) == "coordinate count must be 2*genus"
+
+    def test_missing_field(self):
+        with pytest.raises(TypeError):
+            LatticeWitness()
+        with pytest.raises(TypeError):
+            HVec(1)

@@ -1,12 +1,15 @@
+import copy
 import importlib
 import json
+import pickle
 import random
 
 import pytest
 
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
-                                  VERDICT_THEOREM, analyze, twist_consistency)
+                                  VERDICT_THEOREM, Report, analyze,
+                                  twist_consistency)
 from curveobs.wedge import embed2, wedge
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
@@ -183,3 +186,81 @@ class TestTwistConsistency:
             b = (a * random_commutator_element_rng(g, rng.randint(0, 2), rng))
             ok, _, _ = twist_consistency(g, a, b)
             assert ok
+
+
+# every way a record is copied: shallow, deep and each pickle protocol
+COPIES = [copy.copy, copy.deepcopy] + [
+    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+REPORT_FIELDS = ("genus", "a", "b", "abs_a", "abs_b", "i_A", "ell_a", "ell_b",
+                 "v", "lattice", "verdict")
+
+
+class TestReportRecord:
+    """Report is an immutable value, equal by value; the Wedge2 fields make
+    it unhashable. One pair with i_A = 0 and one with i_A != 0."""
+
+    PAIRS = {
+        "x1 | x2^-1": (
+            "Report(genus=2, a='x1', b='x2^-1', abs_a=HVec(genus=2, "
+            "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1))), abs_b=HVec(genus=2, coords=(Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1))), i_A=0, "
+            "ell_a=Wedge2(genus=2, terms={(0, 1): Fraction(1, 2)}), "
+            "ell_b=Wedge2(genus=2, terms={(2, 3): Fraction(-1, 2)}), "
+            "v=HVec(genus=2, coords=(Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1))), lattice=LatticeWitness("
+            "member=True, m=0, n=0), verdict='inconclusive')"),
+        "x1 | y1": (
+            "Report(genus=2, a='x1', b='y1', abs_a=HVec(genus=2, "
+            "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1))), abs_b=HVec(genus=2, coords=(Fraction(0, 1), "
+            "Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))), i_A=1, "
+            "ell_a=Wedge2(genus=2, terms={(0, 1): Fraction(1, 2)}), "
+            "ell_b=Wedge2(genus=2, terms={(0, 1): Fraction(-1, 2)}), "
+            "v=None, lattice=None, verdict='certified_positive_homological')"),
+    }
+
+    @staticmethod
+    def report(pair):
+        a, b = pair.split(" | ")
+        return analyze(2, parse_word(a, 2), parse_word(b, 2))
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_repr(self, pair):
+        assert repr(self.report(pair)) == self.PAIRS[pair]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_construction_and_equality(self, pair):
+        rep = self.report(pair)
+        values = [getattr(rep, f) for f in REPORT_FIELDS]
+        assert Report(*values) == rep
+        assert Report(**dict(zip(REPORT_FIELDS, values))) == rep
+        assert rep == self.report(pair)
+        assert rep != Report(*values[:-1], "other") and rep != tuple(values)
+        assert rep.expansion == Report.expansion == "theta0"
+        assert rep.disclaimer == Report.disclaimer
+        with pytest.raises(TypeError):
+            Report(*values[:-1])
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_unhashable_and_frozen(self, pair):
+        rep = self.report(pair)
+        with pytest.raises(TypeError):
+            hash(rep)
+        for field in ("verdict", "v", "genus"):
+            with pytest.raises(AttributeError):
+                setattr(rep, field, None)
+            with pytest.raises(AttributeError):
+                delattr(rep, field)
+        assert rep == self.report(pair)
+
+    @pytest.mark.parametrize("copier", COPIES)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_copies(self, pair, copier):
+        rep = self.report(pair)
+        c = copier(rep)
+        assert type(c) is Report and c == rep
+        assert repr(c) == repr(rep) and c.to_json() == rep.to_json()
+        assert c.to_text() == rep.to_text()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -175,3 +177,54 @@ class TestEmbed:
             z = rand_hvec(g, rng)
             via_tensor = derive(embed3(t), TruncTensor.from_hvec(z)).degree_part(2)
             assert via_tensor == embed2(act3(t, z)).degree_part(2)
+
+
+# every way a record is copied: shallow, deep and each pickle protocol
+COPIES = [copy.copy, copy.deepcopy] + [
+    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestRecords:
+    """Wedge2 and Wedge3 are immutable values, equal by value within one
+    class; their dict of terms makes them unhashable."""
+
+    def test_equality(self):
+        w = Wedge2(2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1)})
+        assert w == Wedge2(genus=2, terms={(2, 3): -1, (0, 1): Fraction(1, 2)})
+        assert w == (omega(2).scale(Fraction(1, 2))
+                     - Wedge2.make(2, [((2, 3), Fraction(3, 2))]))
+        assert w != Wedge2(3, w.terms) and w != -w
+        assert Wedge2.zero(2) != Wedge3.zero(2)
+        assert Wedge3.zero(2) != Wedge2.zero(2)
+        assert Wedge3(2, {(0, 1, 2): Fraction(1)}) == Wedge3(2, {(0, 1, 2): 1})
+        assert w != (2, w.terms)
+
+    def test_unhashable(self):
+        for obj in (Wedge2.zero(1), omega(2), Wedge3.zero(2)):
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        for obj in (omega(2), Wedge3.zero(2)):
+            for field in ("genus", "terms"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, field, {})
+                with pytest.raises(AttributeError):
+                    delattr(obj, field)
+        assert omega(1) == Wedge2(1, {(0, 1): 1})
+
+    def test_repr(self):
+        assert repr(omega(2)) == (
+            "Wedge2(genus=2, terms={(0, 1): Fraction(1, 1), "
+            "(2, 3): Fraction(1, 1)})")
+        assert repr(Wedge3.make(2, [((2, 0, 1), Fraction(-1, 2))])) == (
+            "Wedge3(genus=2, terms={(0, 1, 2): Fraction(-1, 2)})")
+        assert repr(Wedge2.zero(3)) == "Wedge2(genus=3, terms={})"
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies(self, copier):
+        for obj in (omega(2), Wedge2.zero(1),
+                    Wedge3.make(2, [((0, 1, 2), Fraction(1, 3))])):
+            c = copier(obj)
+            assert type(c) is type(obj) and c == obj and repr(c) == repr(obj)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -198,3 +200,62 @@ class TestRandom:
         u = random_word_rng(1, rng.randint(1, 5), rng)
         v = random_word_rng(1, rng.randint(1, 5), rng)
         assert random_commutator_element_rng(1, 1, random.Random(11)) == commutator(u, v)
+
+
+# every way a record is copied: shallow, deep and each pickle protocol
+COPIES = [copy.copy, copy.deepcopy] + [
+    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestRecord:
+    """Word is an immutable value: equal and hashed by value, copyable."""
+
+    def test_equality_and_hash(self):
+        w = Word(2, L("x1", "y2"))
+        assert w == Word(genus=2, letters=L("x1", "y2"))
+        assert hash(w) == hash(parse_word("x1 y2", 2))
+        assert {w: 1}[parse_word("x1 y2", 2)] == 1
+        assert w != Word(2, L("x1", "y2^-1")) and w != Word(3, w.letters)
+        assert w != (2, w.letters) and not w == (2, w.letters)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        w = Word(2, L("x1"))
+        with pytest.raises(AttributeError):
+            w.genus = 3
+        with pytest.raises(AttributeError):
+            w.letters = ()
+        with pytest.raises(AttributeError):
+            del w.letters
+        assert w == Word(2, L("x1"))
+
+    def test_repr(self):
+        assert (repr(parse_word("x1 x2 y2 x2^-1", 2))
+                == "Word(genus=2, letters=(1, 3, 4, -3))")
+        assert repr(Word.identity(1)) == "Word(genus=1, letters=())"
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies(self, copier):
+        w = parse_word("x1 y2^3 [x1, y1]", 2)
+        c = copier(w)
+        assert type(c) is Word and c == w and repr(c) == repr(w)
+
+    @pytest.mark.parametrize("genus, letters, message", [
+        (0, (), "genus must be >= 1, got 0"),
+        (1, (3,), "letter 3 out of range for genus 1"),
+        (1, (0,), "letter 0 out of range for genus 1"),
+        (2, (-5,), "letter -5 out of range for genus 2"),
+        (2, (1, 2, -2), "word is not freely reduced"),
+    ])
+    def test_invalid_fields(self, genus, letters, message):
+        with pytest.raises(WordError) as exc:
+            Word(genus, letters)
+        assert str(exc.value) == message
+
+    def test_missing_or_unknown_field(self):
+        with pytest.raises(TypeError):
+            Word(2)
+        with pytest.raises(TypeError):
+            Word(2, (), ())
+        with pytest.raises(TypeError):
+            Word(2, word=())
