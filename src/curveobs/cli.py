@@ -17,7 +17,6 @@ import sys
 from .ell import ell
 from .homology import abelianize, basis_label
 from .obstruction import analyze, twist_consistency
-from .selftest import run_selftest
 from .words import WordError, format_word, parse_genus, parse_word
 
 
@@ -28,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _genus(text: str) -> int:
+    try:
+        return parse_genus(text)
+    except WordError as exc:  # argparse prints only 'invalid _genus value'
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full obstruction report for a pair")
-    p_an.add_argument("--genus", type=parse_genus,
+    p_an.add_argument("--genus", type=_genus,
                       help="required unless --pairs carries per-line genus")
     p_an.add_argument("--a", dest="word_a", help="first word")
     p_an.add_argument("--b", dest="word_b", help="second word")
@@ -51,13 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tw = sub.add_parser("twist-check",
                           help="degree-2 twist identity cross-check for a pair")
-    p_tw.add_argument("--genus", type=parse_genus, required=True)
+    p_tw.add_argument("--genus", type=_genus, required=True)
     p_tw.add_argument("--a", dest="word_a", required=True)
     p_tw.add_argument("--b", dest="word_b", required=True)
     p_tw.add_argument("--format", choices=["text", "json"], default="text")
 
     p_ev = sub.add_parser("eval", help="homology class and invariant of a word")
-    p_ev.add_argument("--genus", type=parse_genus, required=True)
+    p_ev.add_argument("--genus", type=_genus, required=True)
     p_ev.add_argument("word")
     p_ev.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -144,6 +150,7 @@ def _cmd_eval(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.iterations < 1:
         raise WordError("iterations must be >= 1")
+    from .selftest import run_selftest  # no other subcommand loads it
     results = run_selftest(args.seed, args.iterations)
     failures = 0
     for name, cases, error in results:

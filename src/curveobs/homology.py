@@ -7,11 +7,9 @@ is exact (fractions.Fraction), never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .words import Word, check_genus
+from .words import Word, _Record, _set, check_genus
 
 
 def basis_label(k: int) -> str:
@@ -49,14 +47,14 @@ def format_terms(terms) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class HVec:
-    genus: int
-    coords: tuple[Fraction, ...]
+class HVec(_Record):
+    __slots__ = ("genus", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != 2 * self.genus:
+    def __init__(self, genus: int, coords: tuple[Fraction, ...]):
+        if len(coords) != 2 * genus:
             raise ValueError("coordinate count must be 2*genus")
+        _set(self, "genus", genus)
+        _set(self, "coords", coords)
 
     @classmethod
     def zero(cls, genus: int) -> "HVec":
@@ -121,11 +119,12 @@ def is_integral(v: HVec) -> bool:
     return all(c.denominator == 1 for c in v.coords)
 
 
-@dataclass(frozen=True)
-class LatticeWitness:
-    member: bool
-    m: Optional[int] = None
-    n: Optional[int] = None
+class LatticeWitness(_Record):
+    __slots__ = ("member", "m", "n")
+
+    def __init__(self, member: bool, m: int | None = None, n: int | None = None):
+        for name, value in zip(self.__slots__, (member, m, n)):
+            _set(self, name, value)
 
     def to_json(self):
         return {"member": self.member, "m": self.m, "n": self.n}

@@ -9,8 +9,6 @@ intersection, but membership never certifies zero intersection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 from .ell import ell, obstruction_vector
 from .expansion import EXPANSION_NAME, L_theta, johnson_twist, theta0
@@ -18,7 +16,7 @@ from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
 from .tensor import TruncTensor
 from .wedge import Wedge2
-from .words import Word, format_word
+from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
@@ -30,21 +28,18 @@ DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class Report:
-    genus: int
-    a: str
-    b: str
-    abs_a: HVec
-    abs_b: HVec
-    i_A: int
-    ell_a: Wedge2
-    ell_b: Wedge2
-    v: Optional[HVec]
-    lattice: Optional[LatticeWitness]
-    verdict: str
-    expansion: ClassVar[str] = EXPANSION_NAME
-    disclaimer: ClassVar[str] = DISCLAIMER
+class Report(_Record):
+    __slots__ = ("genus", "a", "b", "abs_a", "abs_b", "i_A", "ell_a", "ell_b",
+                 "v", "lattice", "verdict")
+    expansion = EXPANSION_NAME
+    disclaimer = DISCLAIMER
+
+    def __init__(self, genus: int, a: str, b: str, abs_a: HVec, abs_b: HVec,
+                 i_A: int, ell_a: Wedge2, ell_b: Wedge2, v: HVec | None,
+                 lattice: LatticeWitness | None, verdict: str):
+        for name, value in zip(self.__slots__, (genus, a, b, abs_a, abs_b, i_A,
+                                                ell_a, ell_b, v, lattice, verdict)):
+            _set(self, name, value)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -3,13 +3,12 @@ and their actions on homology vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .homology import HVec, basis_label, basis_pairing, format_terms, mate
 from .tensor import TruncTensor
-from .words import check_genus
+from .words import _Record, _set, check_genus
 
 
 def _normalize(items) -> dict[tuple[int, ...], Fraction]:
@@ -27,12 +26,14 @@ def _normalize(items) -> dict[tuple[int, ...], Fraction]:
     return {k: c for k, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class _Alternating:
+class _Alternating(_Record):
     """An element of an exterior power of homology: sorted index tuples
     (strictly increasing basis indices) mapped to nonzero rationals."""
-    genus: int
-    terms: dict[tuple[int, ...], Fraction]
+    __slots__ = ("genus", "terms")
+
+    def __init__(self, genus: int, terms: dict[tuple[int, ...], Fraction]):
+        _set(self, "genus", genus)
+        _set(self, "terms", terms)
 
     @classmethod
     def make(cls, genus: int, items):

@@ -7,9 +7,7 @@ Words are always stored freely reduced.
 
 from __future__ import annotations
 
-import random
 import re
-from dataclasses import dataclass
 
 
 # Inputs past these bounds are rejected with WordError instead of exhausting
@@ -43,21 +41,51 @@ def reduce_letters(letters) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
-    genus: int
-    letters: tuple[int, ...]
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise WordError(f"genus must be >= 1, got {self.genus}")
-        n = 2 * self.genus
-        for l in self.letters:
+
+class _Record:
+    """Immutable value record: fields listed in `__slots__` and set once in
+    `__init__` through `_set`; equal only within one class."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        """(class, field values): the record's value, also how it is pickled."""
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return (self.__reduce__() == other.__reduce__()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Word(_Record):
+    __slots__ = ("genus", "letters")
+
+    def __init__(self, genus: int, letters: tuple[int, ...]):
+        if genus < 1:
+            raise WordError(f"genus must be >= 1, got {genus}")
+        n = 2 * genus
+        for l in letters:
             if l == 0 or abs(l) > n:
-                raise WordError(f"letter {l} out of range for genus {self.genus}")
-        for a, b in zip(self.letters, self.letters[1:]):
+                raise WordError(f"letter {l} out of range for genus {genus}")
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise WordError("word is not freely reduced")
+        _set(self, "genus", genus)
+        _set(self, "letters", letters)
 
     @classmethod
     def from_letters(cls, genus: int, letters) -> "Word":

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,7 +216,8 @@ class TestInputLimits:
             main(["eval", "--genus", genus, "x1"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "usage:" in err and repr(genus) in err
+        assert "usage:" in err
+        assert f"argument --genus: genus {genus!r} is not an integer" in err
 
     @pytest.mark.parametrize("command", [
         ["eval", "x1"], ["analyze", "--a", "x1", "--b", "y1"],
@@ -301,3 +306,32 @@ class TestSelftest:
         assert f"FAIL {name}: a = x1, b = y1" in lines
         assert sum(l.startswith("PASS ") for l in lines) == len(criteria) - 1
         assert lines[-1].startswith(f"{len(criteria) - 1}/{len(criteria)} ")
+
+
+class TestImportFootprint:
+    """Each CLI run is a fresh process, so the import is on every batch's
+    critical path. `-S` keeps the interpreter's site imports out of sight."""
+
+    HEAVY = ("dataclasses", "inspect", "ast", "typing", "random",
+             "curveobs.selftest")
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run([sys.executable, "-S", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_import_leaves_heavy_modules_unloaded(self):
+        proc = self.python("-c", "import sys, curveobs.cli; print(sorted("
+                           f"m for m in {self.HEAVY!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_selftest_loads_on_demand(self):
+        proc = self.python("-m", "curveobs.cli", "selftest", "--seed", "7")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert sum(l.startswith("PASS ") for l in lines) == 10
+        assert lines[-1] == "10/10 suites passed (seed=7, iterations=1)"
