@@ -45,9 +45,9 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Immutable value record: fields listed in `__slots__` and set once in
-    `__init__` through `_set`; equal only within one class."""
-
+    """Immutable value record: its fields are the `__slots__` it sees (a
+    subclass adding none declares none), set once in `__init__` through
+    `_set`; equal only within one class."""
     __slots__ = ()
 
     def __reduce__(self):
