@@ -1,6 +1,8 @@
 """Exact calculator for the degree-2 intersection obstruction of curves on a
 genus-g surface with one boundary component."""
 
+__version__ = "0.1.0"  # the one home of the version; pyproject.toml reads it
+
 from .ell import ell, ell_of_letters, obstruction_vector
 from .expansion import L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .ell import ell
 from .homology import abelianize, basis_label
 from .obstruction import analyze, twist_consistency
@@ -45,6 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "the symplectic generators x1 y1 ... xg yg."
         ),
     )
+    parser.add_argument("--version", action="version",
+                        version=f"curveobs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full obstruction report for a pair")

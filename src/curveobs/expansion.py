@@ -10,10 +10,12 @@ exact degree <= 2 output.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .homology import HVec
-from .tensor import TruncTensor, _derivation, cyclic_N
-from .wedge import Wedge2, embed2
+from .tensor import TruncTensor, _derivation
+from .wedge import Wedge2
+from .words import check_genus
 
 EXPANSION_NAME = "theta0"
 
@@ -22,14 +24,43 @@ EXPANSION_NAME = "theta0"
 _MAX_EXP_ITER = 64
 
 
+def _numerators(abs_w: HVec, ell_w: Wedge2):
+    """|w| and ell(w) as ints: the nonzero (index, numerator) pairs of |w|
+    over their least common denominator dh, and the (i, j, numerator) terms
+    of ell(w) over theirs, de. Raises ValueError on a genus mismatch or an
+    ell index outside 0..2g-1, as the tensor constructors do."""
+    check_genus(abs_w, ell_w)
+    n = 2 * abs_w.genus
+    dh = lcm(*(c.denominator for c in abs_w.coords))
+    h = [(i, c.numerator * (dh // c.denominator))
+         for i, c in enumerate(abs_w.coords) if c]
+    de = lcm(*(c.denominator for c in ell_w.terms.values()))
+    e = []
+    for (i, j), c in ell_w.terms.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"basis index out of range in {(i, j)}")
+        e.append((i, j, c.numerator * (de // c.denominator)))
+    return h, dh, e, de
+
+
 def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
     """Expansion of a word w through degree 2, where it is exact, from its
-    class |w| and ell(w): 1 + |w| + (embedded ell(w) + 1/2 |w||w|)."""
-    h = TruncTensor.from_hvec(abs_w, 2)
-    return (TruncTensor.one(abs_w.genus, 2)
-            + h
-            + embed2(ell_w, 2)
-            + (h * h).scale(Fraction(1, 2)))
+    class h = |w| and ell(w): 1 + h + (embedded ell(w) + 1/2 h h), built in
+    one pass as int numerators over one denominator."""
+    h, dh, e, de = _numerators(abs_w, ell_w)
+    den = lcm(2 * dh * dh, de)
+    mh, mhh, me = den // dh, den // (2 * dh * dh), den // de
+    nums = {(): den}
+    for i, p in h:
+        nums[(i,)] = p * mh
+        for j, q in h:
+            nums[(i, j)] = p * q * mhh
+    get = nums.get
+    for i, j, q in e:
+        q *= me
+        nums[(i, j)] = get((i, j), 0) + q
+        nums[(j, i)] = get((j, i), 0) - q
+    return TruncTensor._make(abs_w.genus, 2, nums, den)
 
 
 def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
@@ -37,9 +68,27 @@ def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
     its class h = |a| and e = embedded ell(a): (1/2) N(l l) for l = h + e,
     which is h h + N(h e) through degree 3, as l l = h h + h e + e h + (degree
     4), (1/2) N(h h) = h h, and N(e h) = N(h e): both sum the same three
-    rotations of each term. Degree 4 would need unknown data."""
-    h = TruncTensor.from_hvec(abs_a, 3)
-    return h * h + cyclic_N(h * embed2(ell_a, 3))
+    rotations of each term. Degree 4 would need unknown data.
+
+    Built in one pass as int numerators over one denominator: each term
+    c X_j^X_k of ell(a) embeds as c (X_j X_k - X_k X_j), so h_i contributes
+    h_i c at the three rotations of (i, j, k) and -h_i c at those of
+    (i, k, j). `cyclic_N` and `embed2` are the references."""
+    h, dh, e, de = _numerators(abs_a, ell_a)
+    m = lcm(dh, de)
+    mhh, mhe = m // dh, m // de
+    nums: dict[tuple[int, ...], int] = {}
+    get = nums.get
+    for i, p in h:
+        for j, q in h:
+            nums[(i, j)] = p * q * mhh
+        for j, k, q in e:
+            c = p * q * mhe
+            for t in ((i, j, k), (j, k, i), (k, i, j)):
+                nums[t] = get(t, 0) + c
+            for t in ((i, k, j), (k, j, i), (j, i, k)):
+                nums[t] = get(t, 0) - c
+    return TruncTensor._make(abs_a.genus, 3, nums, dh * m)
 
 
 def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:

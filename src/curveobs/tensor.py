@@ -189,12 +189,19 @@ def _derivation(h: TruncTensor):
     if () in h.nums:
         raise ValueError("derivation datum must have zero constant term")
     # images[y]: the derivation's value on the factor y, as (tail, numerator)
-    # pairs, shortest tail first; only terms whose first factor is y's
-    # symplectic mate pair nonzero
-    images: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for hs, hc in sorted(h.nums.items(), key=_degree):
-        y = mate(hs[0])
-        images.setdefault(y, []).append((hs[1:], hc * basis_pairing(y, hs[0])))
+    # pairs, shortest tail first; only terms whose first factor x is y's
+    # symplectic mate pair nonzero, so h is grouped by x in one pass and
+    # each short group sorted and signed by the pairing (y.x) = +-1
+    by_first: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for hs, hc in h.nums.items():
+        by_first.setdefault(hs[0], []).append((hs[1:], hc))
+    images = {}
+    for x, items in by_first.items():
+        items.sort(key=_degree)
+        y = mate(x)
+        if basis_pairing(y, x) == -1:
+            items = [(tail, -hc) for tail, hc in items]
+        images[y] = items
 
     def apply(u: TruncTensor) -> TruncTensor:
         check_genus(h, u)

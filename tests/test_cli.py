@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import curveobs
 from curveobs import selftest
 from curveobs.cli import main
 from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
@@ -120,6 +121,13 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"curveobs {curveobs.__version__}\n"
+        assert curveobs.__version__ == "0.1.0"
 
 
 class TestInputLimits:
@@ -313,7 +321,7 @@ class TestImportFootprint:
     critical path. `-S` keeps the interpreter's site imports out of sight."""
 
     HEAVY = ("dataclasses", "inspect", "ast", "typing", "random",
-             "curveobs.selftest")
+             "importlib.metadata", "curveobs.selftest")
 
     @staticmethod
     def python(*args):

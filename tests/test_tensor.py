@@ -494,6 +494,32 @@ class TestTwistFastPaths:
             with pytest.raises(ValueError, match="degree bound"):
                 make()
 
+    def test_builders_keep_the_constructor_checks(self):
+        # theta0 and L_theta build their tensors in one pass; they raise
+        # where their composed forms (embed2, the ring operations) raise
+        bad = (Wedge2.make(1, [((0, 5), 1)]), Wedge2.make(1, [((-1, 0), 1)]))
+        for build in (theta0, L_theta):
+            for w in bad:
+                for v in (HVec.basis(1, 0), HVec.zero(1)):
+                    with pytest.raises(ValueError, match="out of range"):
+                        build(v, w)
+            for v, w in ((HVec.basis(1, 0), omega(2)),
+                         (HVec.basis(2, 3), Wedge2.zero(1)),
+                         (HVec.zero(2), Wedge2.zero(1))):
+                with pytest.raises(ValueError, match="genus mismatch"):
+                    build(v, w)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_theta0_matches_its_composed_form(self, g):
+        rng = random.Random(410 + g)
+        for _ in range(10):
+            v, w = sparse_hvec(g, rng), sparse_wedge2(g, rng)
+            h = TruncTensor.from_hvec(v, 2)
+            want = (TruncTensor.one(g, 2) + h + embed2(w, 2)
+                    + (h * h).scale(Fraction(1, 2)))
+            got = theta0(v, w)
+            assert is_canonical(got) and got == want, (v, w)
+
     @pytest.mark.parametrize("g", GENERA)
     def test_L_theta_matches_half_N_of_l_squared(self, g):
         rng = random.Random(420 + g)
