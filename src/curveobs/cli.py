@@ -51,12 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full obstruction report for a pair")
-    p_an.add_argument("--genus", type=_genus,
-                      help="required unless --pairs carries per-line genus")
+    p_an.add_argument("--genus", type=_genus, help="required without --pairs")
     p_an.add_argument("--a", dest="word_a", help="first word")
     p_an.add_argument("--b", dest="word_b", help="second word")
-    p_an.add_argument("--pairs", help="batch file: one 'genus<TAB>a<TAB>b' per line")
-    p_an.add_argument("--format", choices=["text", "json"], default="text")
+    p_an.add_argument("--pairs", help="batch file: one 'genus<TAB>a<TAB>b' per "
+                      "line, one JSON report per line out; takes no other option")
+    p_an.add_argument("--format", choices=["text", "json"],
+                      help="report format without --pairs (default: text)")
 
     p_tw = sub.add_parser("twist-check",
                           help="degree-2 twist identity cross-check for a pair")
@@ -79,23 +80,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     if args.pairs is not None:
-        with open(args.pairs) as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        for option, value in (("--genus", args.genus), ("--a", args.word_a),
+                              ("--b", args.word_b), ("--format", args.format)):
+            if value is not None:
+                raise WordError(f"analyze --pairs takes no {option}")
         failed = False
-        for n, line in enumerate(lines, 1):
-            fields = line.split("\t")
-            try:
-                if len(fields) != 3:
-                    raise WordError(f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
-                genus = parse_genus(fields[0])
-                rep = analyze(genus,
-                              parse_word(fields[1], genus),
-                              parse_word(fields[2], genus))
-            except ValueError as exc:  # WordError included
-                failed = True
-                print(json.dumps({"line": n, "error": str(exc)}))
-                continue
-            print(rep.to_json())
+        with open(args.pairs) as fh:  # streamed: one line held at a time
+            lines = (line.rstrip("\n") for line in fh if line.strip())
+            for n, line in enumerate(lines, 1):
+                fields = line.split("\t")
+                try:
+                    if len(fields) != 3:
+                        raise WordError(
+                            f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
+                    genus = parse_genus(fields[0])
+                    rep = analyze(genus,
+                                  parse_word(fields[1], genus),
+                                  parse_word(fields[2], genus))
+                except ValueError as exc:  # WordError included
+                    failed = True
+                    print(json.dumps({"line": n, "error": str(exc)}))
+                    continue
+                print(rep.to_json())
         return 1 if failed else 0
     if args.word_a is None or args.word_b is None:
         raise WordError("analyze needs --a and --b (or --pairs FILE)")

@@ -133,44 +133,44 @@ def boundary_word(genus: int) -> Word:
 
 # --- parsing -----------------------------------------------------------------
 
+# Separators, then one token, or none at the end or before an unknown token.
 _TOKEN_RE = re.compile(
-    r"\s+|\*"                     # separators, skipped
-    r"|(?P<gen>[xy][0-9]+)"
+    r"[\s*]*"                     # separators, skipped
+    r"(?:(?P<gen>[xy][0-9]+)"
     r"|(?P<zeta>zeta)"
     r"|(?P<caret>\^)"
     r"|(?P<int>-?[0-9]+)"
     r"|(?P<open>[\[(])"
     r"|(?P<close>[\])])"
-    r"|(?P<comma>,)"
+    r"|(?P<comma>,))?"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise WordError(f"unknown token at {text[pos:pos + 10]!r}")
-        pos = m.end()
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group()))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], genus: int):
-        self.tokens = tokens
+    """Recursive descent reading one token at a time, so memory follows the
+    letters built, which MAX_LETTERS bounds, not the length of the text."""
+
+    def __init__(self, text: str, genus: int):
+        self.text = text
         self.genus = genus
         self.pos = 0
         self.depth = 0
+        self.ahead = None
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "")
+        """The next (kind, text) token, (None, "") at the end; not taken."""
+        if self.ahead is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            self.pos = pos = m.end()
+            kind = m.lastgroup
+            if kind is None and pos < len(self.text):
+                raise WordError(f"unknown token at {self.text[pos:pos + 10]!r}")
+            self.ahead = (kind, m[kind] if kind else "")
+        return self.ahead
 
     def take(self):
         tok = self.peek()
-        self.pos += 1
+        self.ahead = None
         return tok
 
     def parse_word(self) -> list[int]:
@@ -288,12 +288,11 @@ def parse_word(text: str, genus: int) -> Word:
         raise WordError(f"genus must be >= 1, got {genus}")
     if genus > MAX_GENUS:
         raise WordError(f"genus must be <= {MAX_GENUS}, got {genus}")
-    tokens = _tokenize(text)
-    if not tokens:
+    parser = _Parser(text, genus)
+    if parser.peek()[0] is None:
         raise WordError("empty input (use '1' for the identity)")
-    parser = _Parser(tokens, genus)
     letters = parser.parse_word()
-    if parser.pos != len(tokens):
+    if parser.peek()[0] is not None:
         raise WordError(f"unexpected token {parser.peek()[1]!r}")
     return Word.from_letters(genus, letters)
 

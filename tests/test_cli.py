@@ -84,6 +84,16 @@ class TestAnalyze:
         assert set(lines[1]) == {"line", "error"}
         assert lines[2]["verdict"] == "certified_positive_homological"
 
+    @pytest.mark.parametrize("extra", [
+        ["--format", "text"], ["--format", "json"], ["--genus", "7"],
+        ["--a", "zzz"], ["--b", "x1"]], ids=lambda e: " ".join(e))
+    def test_batch_takes_no_other_option(self, capsys, tmp_path, extra):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("1\tx1\ty1\n")
+        code, out, err = run(capsys, "analyze", "--pairs", str(pairs), *extra)
+        assert code == 1 and out == ""
+        assert err == f"error: analyze --pairs takes no {extra[0]}\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--genus", "2",
                            "--a", "x9", "--b", "y1")

@@ -97,6 +97,28 @@ class TestVerdictInvariance:
             assert analyze(g, c.conjugate(a), d.conjugate(b)).verdict == \
                 analyze(g, a, b).verdict
 
+    def test_order_and_orientation(self):
+        # v = ell(a)(|b|) + ell(b)(|a|) is odd in each word and symmetric in
+        # the pair, and Z|a| + Z|b| does not see either change, so reversing
+        # a curve negates v, swapping the curves keeps it, and the verdict
+        # stays in every case
+        rng = random.Random(5)
+        done = certified = 0
+        while done < 300:
+            g = rng.randint(1, 3)
+            a = random_word_rng(g, rng.randint(1, 8), rng)
+            b = random_word_rng(g, rng.randint(1, 8), rng)
+            if intersection(abelianize(a), abelianize(b)) != 0:
+                continue
+            rep = analyze(g, a, b)
+            variants = [analyze(g, a.inverse(), b), analyze(g, a, b.inverse()),
+                        analyze(g, b, a)]
+            assert [r.v for r in variants] == [-rep.v, -rep.v, rep.v], (a, b)
+            assert all(r.verdict == rep.verdict for r in variants), (a, b)
+            certified += rep.verdict == VERDICT_THEOREM
+            done += 1
+        assert certified > 0
+
 
 class TestDependentClasses:
     def test_conjugates_of_same_curve_stay_inconclusive(self):

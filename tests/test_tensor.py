@@ -11,7 +11,7 @@ from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
 from curveobs.obstruction import analyze, twist_consistency
 from curveobs.tensor import TruncTensor, cyclic_N, derive
 from curveobs.wedge import Wedge2, embed2, embed3, omega, wedge, wedge3
-from curveobs.words import Word, parse_word, random_word_rng
+from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 
@@ -174,6 +174,62 @@ class TestTheta0:
             v = random_word_rng(g, rng.randint(0, 10), rng)
             prod = theta0_of(u) * theta0_of(v)
             assert prod == theta0_of(u * v)
+
+
+def exp_truncated(u):
+    """exp(u) = sum of u^k / k! for u with no constant term, cut at u.maxdeg."""
+    out = term = TruncTensor.one(u.genus, u.maxdeg)
+    for k in range(1, u.maxdeg + 1):
+        term = (term * u).scale(Fraction(1, k))
+        out = out + term
+    return out
+
+
+def expansion_of(w, logs):
+    """theta(w) as the product of theta(letter) = exp(+-logs[generator])."""
+    out = TruncTensor.one(w.genus, 3)
+    for l in w.letters:
+        out = out * exp_truncated(logs[abs(l) - 1].scale(1 if l > 0 else -1))
+    return out
+
+
+class TestSymplecticExpansion:
+    """theta(x_j) = exp(X_j + 1/2[X_j,Y_j]), theta(y_j) = exp(Y_j - 1/2[X_j,Y_j])
+    is symplectic through degree 3, theta(zeta) = exp(omega) = 1 + omega, as
+    Kawazumi-Kuno ("The logarithms of Dehn twists") require of the expansion
+    behind the twist formula, and agrees with theta0 through degree 2, so the
+    expansion the report names is the degree-2 part of a symplectic one."""
+
+    @staticmethod
+    def logs(g, bracket=1):
+        gens = [TruncTensor.from_hvec(HVec.basis(g, k), 3) for k in range(2 * g)]
+        out = []
+        for j in range(g):
+            X, Y = gens[2 * j], gens[2 * j + 1]
+            half = (X * Y - Y * X).scale(Fraction(bracket, 2))
+            out += [X + half, Y - half]
+        return out
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_boundary_maps_to_one_plus_omega(self, g):
+        one_plus_omega = TruncTensor.one(g, 3) + embed2(omega(g), 3)
+        assert expansion_of(boundary_word(g), self.logs(g)) == one_plus_omega
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_generators_agree_with_theta0_through_degree_two(self, g):
+        logs = self.logs(g)
+        for k in range(2 * g):
+            w = Word(g, (k + 1,))
+            cut = TruncTensor(g, 2, dict(expansion_of(w, logs).terms))
+            assert cut == theta0_of(w), w
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_zero_degree_two_values_are_not_symplectic(self, g):
+        # the check above can fail: exp(X_j), exp(Y_j) leave 6 degree-3
+        # terms per handle in theta(zeta) - 1 - omega
+        one_plus_omega = TruncTensor.one(g, 3) + embed2(omega(g), 3)
+        rest = expansion_of(boundary_word(g), self.logs(g, 0)) - one_plus_omega
+        assert rest == rest.degree_part(3) and len(rest.nums) == 6 * g
 
 
 class TestLTheta:

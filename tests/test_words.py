@@ -1,13 +1,14 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveobs.words import (Word, WordError, boundary_word, commutator,
-                            format_word, generator, parse_word,
+from curveobs.words import (MAX_LETTERS, Word, WordError, boundary_word,
+                            commutator, format_word, generator, parse_word,
                             random_commutator_element_rng, random_letters,
                             random_word_rng, reduce_letters)
 from curveobs.homology import abelianize
@@ -61,6 +62,25 @@ class TestParse:
     def test_errors(self, bad):
         with pytest.raises(WordError):
             parse_word(bad, 2)
+
+    def test_earlier_parse_error_wins_over_a_later_unknown_token(self):
+        # tokens are read as the parser needs them, so the first fault in
+        # reading order is the one reported
+        with pytest.raises(WordError, match="out of range 1..2 in 'x9'"):
+            parse_word("x9 &", 2)
+
+    def test_letter_cap_bounds_memory_on_long_text(self):
+        # 6 MB of text past a word already at the cap: the parser must stop
+        # at the cap, not hold a token per atom first
+        text = "x1^1000000 " + "x1 " * 2_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=f"more than {MAX_LETTERS}"):
+                parse_word(text, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestFormat:
