@@ -4,16 +4,35 @@ genus-g surface with one boundary component."""
 __version__ = "0.1.0"  # the one home of the version; pyproject.toml reads it
 
 from .ell import ell, ell_of_letters, obstruction_vector
-from .expansion import L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        is_integral, lattice_member)
 from .obstruction import Report, analyze, twist_consistency
-from .tensor import TruncTensor, cyclic_N, derive
-from .wedge import (Wedge2, Wedge3, act2, act3, embed2, embed3, omega, wedge,
-                    wedge3)
+from .wedge import Wedge2, wedge
 from .words import (Word, WordError, boundary_word, commutator, format_word,
                     parse_word, random_commutator_element_rng,
                     random_word_rng)
+
+# The twist path and the reference algebra load when one of their names is
+# first looked up (PEP 562), so `analyze` never imports them. Each lookup
+# reads the defining module's attribute afresh: nothing is cached here.
+_LAZY = {
+    "TruncTensor": "tensor",
+    **dict.fromkeys(("theta0", "L_theta", "johnson_twist"), "expansion"),
+    **dict.fromkeys(("Wedge3", "act2", "wedge3", "act3", "omega", "embed2",
+                     "embed3", "cyclic_N", "derive"), "reference"),
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Word", "WordError", "parse_word", "format_word", "commutator",

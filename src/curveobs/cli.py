@@ -85,11 +85,15 @@ def _cmd_analyze(args) -> int:
             if value is not None:
                 raise WordError(f"analyze --pairs takes no {option}")
         failed = False
-        with open(args.pairs) as fh:  # streamed: one line held at a time
+        # streamed, one line held at a time; bytes that are not UTF-8 are
+        # read as surrogates, so that only their own line fails
+        with open(args.pairs, encoding="utf-8", errors="surrogateescape") as fh:
             lines = (line.rstrip("\n") for line in fh if line.strip())
             for n, line in enumerate(lines, 1):
                 fields = line.split("\t")
                 try:
+                    # UnicodeDecodeError, a ValueError, at a byte not UTF-8
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                     if len(fields) != 3:
                         raise WordError(
                             f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")

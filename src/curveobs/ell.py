@@ -50,8 +50,9 @@ def ell(w: Word) -> Wedge2:
 
 def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
                        abs_b: HVec, ell_b: Wedge2) -> HVec:
-    """v = ell(a) acting on |b| plus ell(b) acting on |a|: act2's sum, taken
-    on int numerators over the common denominator d of the inputs."""
+    """v = ell(a) acting on |b| plus ell(b) acting on |a|: the sum of
+    `reference.act2`, taken on int numerators over the common denominator d
+    of the inputs."""
     for x in (abs_b, ell_a, ell_b):
         check_genus(abs_a, x)
     d = lcm(*(c.denominator for x in (abs_a, abs_b) for c in x.coords),

@@ -17,8 +17,6 @@ from .tensor import TruncTensor, _derivation
 from .wedge import Wedge2
 from .words import check_genus
 
-EXPANSION_NAME = "theta0"
-
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
 # or raises degree and is nilpotent degreewise, so this bound is generous.
 _MAX_EXP_ITER = 64
@@ -73,7 +71,8 @@ def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
     Built in one pass as int numerators over one denominator: each term
     c X_j^X_k of ell(a) embeds as c (X_j X_k - X_k X_j), so h_i contributes
     h_i c at the three rotations of (i, j, k) and -h_i c at those of
-    (i, k, j). `cyclic_N` and `embed2` are the references."""
+    (i, k, j). `reference.cyclic_N` and `reference.embed2` are the
+    references."""
     h, dh, e, de = _numerators(abs_a, ell_a)
     m = lcm(dh, de)
     mhh, mhe = m // dh, m // de

@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 
 from .ell import ell, obstruction_vector
-from .expansion import EXPANSION_NAME, L_theta, johnson_twist, theta0
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        lattice_member)
-from .tensor import TruncTensor
 from .wedge import Wedge2
 from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# the expansion `expansion.theta0` builds, named in every report
+EXPANSION_NAME = "theta0"
 
 DISCLAIMER = (
     "inputs are trusted to represent simple closed curves; for other words "
@@ -125,6 +126,9 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, 
 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
+    # the twist path loads on demand: analyze needs neither module
+    from .expansion import L_theta, johnson_twist, theta0
+    from .tensor import TruncTensor
     rep = analyze(genus, a, b)
     if rep.i_A != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")

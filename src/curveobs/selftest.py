@@ -16,8 +16,9 @@ from .ell import ell, ell_of_letters
 from .expansion import L_theta, johnson_twist
 from .homology import HVec, abelianize, intersection, lattice_member
 from .obstruction import VERDICT_INCONCLUSIVE, analyze, twist_consistency
+from .reference import act2, embed3, omega, wedge3
 from .tensor import TruncTensor
-from .wedge import act2, embed3, omega, wedge, wedge3
+from .wedge import wedge
 from .words import (boundary_word, commutator, format_word, generator,
                     parse_word, random_word_rng)
 

@@ -163,29 +163,9 @@ class RationalTerms(Mapping):
         return len(self._t.nums)
 
 
-def cyclic_N(u: TruncTensor) -> TruncTensor:
-    """Sum of all cyclic rotations degreewise; kills constants."""
-    out: dict[tuple[int, ...], int] = {}
-    for s, c in u.nums.items():
-        for j in range(len(s)):
-            t = s[j:] + s[:j]
-            out[t] = out.get(t, 0) + c
-    return TruncTensor._make(u.genus, u.maxdeg, out, u.den)
-
-
-def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
-    """Apply the derivation attached to h (degree >= 1 terms only) to u.
-
-    h acts on a single homology factor Y by contracting the first factor:
-    (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
-    Truncation follows u; h may carry a higher degree bound. `_derivation(h)`
-    builds h's index of images once; the function it returns applies them.
-    """
-    return _derivation(h)(u)
-
-
 def _derivation(h: TruncTensor):
-    """The derivation attached to h as a function of u; see `derive`."""
+    """The derivation attached to h as a function of u; see
+    `reference.derive`."""
     if () in h.nums:
         raise ValueError("derivation datum must have zero constant term")
     # images[y]: the derivation's value on the factor y, as (tail, numerator)

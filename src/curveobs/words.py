@@ -190,7 +190,8 @@ class _Parser:
                 raise WordError(
                     f"generator index out of range 1..{self.genus} in {_shown(text)}"
                 )
-            base = [generator(self.genus, text[0], idx).letters[0]]
+            # the letter of x_idx or y_idx, as `generator` encodes it
+            base = [2 * idx - (text[0] == "x")]
         elif kind == "zeta":
             base = list(boundary_word(self.genus).letters)
         elif kind == "int" and text == "1":

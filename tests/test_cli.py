@@ -84,6 +84,43 @@ class TestAnalyze:
         assert set(lines[1]) == {"line", "error"}
         assert lines[2]["verdict"] == "certified_positive_homological"
 
+    def test_batch_non_utf8_line_is_one_error(self, capsys, tmp_path):
+        # the bad byte sits past the decoder's first chunk: every line before
+        # it, and none after, was lost when the file was decoded as a whole
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"1\tx1\ty1\n" * 2000 + b"1\tx1\txx\xff1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert len(lines) == 2001
+        assert all(l["verdict"] == "certified_positive_homological"
+                   for l in lines[:2000])
+        assert lines[2000] == {"line": 2001, "error": "'utf-8' codec can't "
+                               "decode byte 0xff in position 7: invalid start byte"}
+
+    def test_batch_non_utf8_lines_keep_the_numbering(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"1\tx1\ty1\r\n\xff\xfe\r\n\r\n"
+                          b"1\tx1 \xed\xa0\x80\tx1\n1\tx1\t\xc3\xa9\n2\tx1\tx2\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert [l.get("line") for l in lines] == [None, 2, 3, 4, None]
+        assert "byte 0xff in position 0" in lines[1]["error"]
+        assert "byte 0xed in position 5" in lines[2]["error"]
+        assert lines[3]["error"] == "unknown token at '\u00e9'"
+        assert lines[4]["verdict"] == "inconclusive"
+
+    def test_batch_line_endings_keep_the_output(self, capsys, tmp_path):
+        text = "2\tx1 x2 y2 x2^-1\ty2 x1^-1\n\n1\tx1\ty1\n2\tx1\tx1\n"
+        outs = []
+        for newline in ("\n", "\r\n", "\r"):
+            pairs = tmp_path / "pairs.tsv"
+            pairs.write_bytes(text.replace("\n", newline).encode())
+            outs.append(run(capsys, "analyze", "--pairs", str(pairs)))
+        assert outs[0][0] == 0 and len(outs[0][1].splitlines()) == 3
+        assert outs[1] == outs[2] == outs[0]
+
     @pytest.mark.parametrize("extra", [
         ["--format", "text"], ["--format", "json"], ["--genus", "7"],
         ["--a", "zzz"], ["--b", "x1"]], ids=lambda e: " ".join(e))
@@ -344,6 +381,46 @@ class TestImportFootprint:
     def test_cli_import_leaves_heavy_modules_unloaded(self):
         proc = self.python("-c", "import sys, curveobs.cli; print(sorted("
                            f"m for m in {self.HEAVY!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    # the twist path and the reference algebra: `analyze` needs none of them
+    TWIST = ("curveobs.tensor", "curveobs.expansion", "curveobs.reference")
+
+    def loaded_after(self, *argv):
+        """The TWIST modules loaded by a fresh process that runs the CLI
+        with argv, after its exit code."""
+        proc = self.python("-c", (
+            "import contextlib, io, sys\n"
+            "from curveobs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            f"print(code, sorted(m for m in {self.TWIST!r} if m in sys.modules))"),
+            *argv)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_cli_import_leaves_twist_and_reference_unloaded(self):
+        proc = self.python("-c", "import sys, curveobs.cli; print(sorted("
+                           f"m for m in {self.TWIST!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_analyze_loads_no_twist_or_reference_module(self, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("2\tx1 x2 y2 x2^-1\ty2 x1^-1\n2\tx1\tx1 [y1,x2]\n")
+        assert self.loaded_after("analyze", "--pairs", str(pairs)) == "0 []\n"
+        assert self.loaded_after("analyze", "--genus", "2", "--a", "x1",
+                                 "--b", "x2") == "0 []\n"
+
+    def test_twist_check_loads_tensor_and_expansion_only(self):
+        assert self.loaded_after(
+            "twist-check", "--genus", "2", "--a", "x1 x2 y2 x2^-1",
+            "--b", "y2 x1^-1") == "0 ['curveobs.expansion', 'curveobs.tensor']\n"
+
+    def test_star_import_resolves_every_exported_name(self):
+        proc = self.python("-c", "from curveobs import *\nimport curveobs\n"
+                           "print([n for n in curveobs.__all__ if n not in globals()])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

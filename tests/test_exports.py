@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,21 @@ def test_version_has_one_home():
     assert "version" in conf["project"]["dynamic"]
     assert conf["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "curveobs.__version__"}
+
+
+def test_lazy_names_are_looked_up_afresh(monkeypatch):
+    # a caller that patches the defining module (a tracer, say) is seen
+    # through the package: the package keeps no copy of a lazy name
+    expansion = importlib.import_module("curveobs.expansion")
+    reference = importlib.import_module("curveobs.reference")
+    assert curveobs.theta0 is expansion.theta0
+    monkeypatch.setattr(expansion, "theta0", len)
+    monkeypatch.setattr(reference, "act2", abs)
+    assert curveobs.theta0 is len and curveobs.act2 is abs
+    assert "theta0" not in vars(curveobs) and "act2" not in vars(curveobs)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        curveobs.no_such_name
+    assert set(curveobs.__all__) <= set(dir(curveobs))

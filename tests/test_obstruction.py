@@ -10,7 +10,8 @@ from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
-from curveobs.wedge import embed2, wedge
+from curveobs.reference import embed2
+from curveobs.wedge import wedge
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 
@@ -49,7 +50,7 @@ class TestAnalyze:
         assert rep.verdict in (VERDICT_THEOREM, VERDICT_INCONCLUSIVE)
         # and the vector reduces to ell(b) acting on |a|
         from curveobs.ell import ell
-        from curveobs.wedge import act2
+        from curveobs.reference import act2
         assert rep.v == act2(ell(b), abelianize(a))
 
     def test_both_separating(self):

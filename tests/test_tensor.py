@@ -9,8 +9,9 @@ from curveobs.expansion import L_theta, johnson_twist, theta0
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze, twist_consistency
-from curveobs.tensor import TruncTensor, cyclic_N, derive
-from curveobs.wedge import Wedge2, embed2, embed3, omega, wedge, wedge3
+from curveobs.reference import cyclic_N, derive, embed2, embed3, omega, wedge3
+from curveobs.tensor import TruncTensor
+from curveobs.wedge import Wedge2, wedge
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
@@ -268,7 +269,7 @@ class TestDerivationProps:
             av = abelianize(a)
             L2 = TruncTensor.from_hvec(av) * TruncTensor.from_hvec(av)
             u = wedge(rand_hvec(g, rng), rand_hvec(g, rng))
-            from curveobs.wedge import act2
+            from curveobs.reference import act2
             got = derive(L2, embed2(u)).degree_part(2)
             want = embed2(wedge(av, act2(u, av)).scale(-1)).degree_part(2)
             assert got == want
