@@ -86,8 +86,10 @@ def _cmd_analyze(args) -> int:
                 raise WordError(f"analyze --pairs takes no {option}")
         failed = False
         # streamed, one line held at a time; bytes that are not UTF-8 are
-        # read as surrogates, so that only their own line fails
-        with open(args.pairs, encoding="utf-8", errors="surrogateescape") as fh:
+        # read as surrogates, so that only their own line fails, and a byte
+        # order mark is dropped at the start of the file only
+        with open(args.pairs, encoding="utf-8-sig",
+                  errors="surrogateescape") as fh:
             lines = (line.rstrip("\n") for line in fh if line.strip())
             for n, line in enumerate(lines, 1):
                 fields = line.split("\t")

@@ -4,6 +4,9 @@ ell sends a word to an element of the second exterior power of homology. It is
 fixed on generators (ell(x_j) = 1/2 X_j^Y_j, ell(y_j) = -1/2 X_j^Y_j) and
 extended by the cocycle rule ell(uv) = ell(u) + ell(v) + 1/2 |u|^|v|. The fold
 is evaluated on raw letter sequences and is invariant under free reduction.
+It keeps the class of the prefix as a sparse int dict, so a letter's new terms
+cost one per generator the prefix touches; the running sum is a Wedge2,
+re-summed at every letter.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .homology import HVec, basis_pairing, mate
-from .wedge import Wedge2, wedge
+from .wedge import Wedge2
 from .words import Word, check_genus
 
 
@@ -28,19 +31,24 @@ def _letter_ell(genus: int, letter: int) -> Wedge2:
     return Wedge2.make(genus, [((2 * j, 2 * j + 1), sign)])
 
 
-def _letter_hvec(genus: int, letter: int) -> HVec:
-    v = HVec.basis(genus, abs(letter) - 1)
-    return v if letter > 0 else -v
-
-
 def ell_of_letters(genus: int, letters) -> Wedge2:
-    """Left-to-right cocycle fold over a (possibly unreduced) letter sequence."""
+    """Left-to-right cocycle fold over a (possibly unreduced) letter sequence.
+
+    The prefix class ab is a sparse int dict {index: count}, so the letter
+    +-e_k adds ell(letter) + 1/2 ab ^ (+-e_k): one term per index in the
+    prefix's support, with the 1/2 folded in."""
     acc = Wedge2.zero(genus)
-    ab = HVec.zero(genus)
+    ab: dict[int, int] = {}
     for l in letters:
-        lv = _letter_hvec(genus, l)
-        acc = acc + _letter_ell(genus, l) + wedge(ab, lv).scale(Fraction(1, 2))
-        ab = ab + lv
+        k = abs(l) - 1
+        s = 1 if l > 0 else -1
+        acc = acc + _letter_ell(genus, l) + Wedge2.make(
+            genus, [((i, k), Fraction(s * c, 2)) for i, c in ab.items()])
+        c = ab.get(k, 0) + s
+        if c:
+            ab[k] = c
+        else:
+            del ab[k]
     return acc
 
 

@@ -4,7 +4,9 @@ and the truncated twist automorphism.
 Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The derivation
 datum L(a) is exact through degree 3, which is all the twist formula needs for
-exact degree <= 2 output.
+exact degree <= 2 output. `L_theta` and `johnson_twist` build L(a) and apply
+it; `twist` applies the same exponential with the derivation's images read
+off |a| and ell(a) as factors occur, and is what the twist cross-check runs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .homology import HVec
-from .tensor import TruncTensor, _derivation
+from .homology import HVec, basis_pairing, mate
+from .tensor import TruncTensor, _images, _leibniz, _OnDemand
 from .wedge import Wedge2
 from .words import check_genus
 
@@ -90,23 +92,90 @@ def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
     return TruncTensor._make(abs_a.genus, 3, nums, dh * m)
 
 
+def _cut(u: TruncTensor) -> TruncTensor:
+    """u cut to degree <= min(2, u.maxdeg), where the twist is exact:
+    derivation by L never lowers degree, so higher terms of u cannot reach
+    it."""
+    D = min(2, u.maxdeg)
+    return TruncTensor._make(
+        u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
+
+
+def _exp_change(u: TruncTensor, den: int, tables) -> TruncTensor:
+    """exp(-D)(u) - u, the sum over k >= 1 of (-D)^k(u) / k!, for the
+    derivation D given to `tensor._leibniz` as (den, tables)."""
+    change = TruncTensor._make(u.genus, u.maxdeg, {}, 1)
+    term = u
+    for k in range(1, _MAX_EXP_ITER + 1):
+        term = _leibniz(term, den, tables).scale(Fraction(-1, k))
+        if term.is_zero():
+            return change
+        change = change + term
+    raise AssertionError("twist exponential failed to terminate")
+
+
 def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
     """Apply the truncated twist automorphism exp(-L) to u, for the
-    derivation datum L = L_theta(|a|, ell(a)) of the twist along a.
+    derivation datum L = L_theta(|a|, ell(a)) of the twist along a, with u
+    cut to degree <= 2 first: the output is exact only that far. `twist`
+    computes the change without building L."""
+    images = _images(L)
+    check_genus(L, u)
+    u = _cut(u)
+    return u + _exp_change(u, L.den, (images,) * (u.maxdeg + 1))
 
-    u is cut to degree <= 2 first: the output is exact only that far, and
-    derivation by L never lowers degree, so higher terms of u cannot reach it.
-    """
-    D = min(2, u.maxdeg)
-    apply_L = _derivation(L)
-    out = term = TruncTensor._make(
-        u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
-    # term_k = (-L)^k(u) / k!, with L's derivation index built once
-    for k in range(1, _MAX_EXP_ITER + 1):
-        term = apply_L(term).scale(Fraction(-1, k))
-        if term.is_zero():
-            break
-        out = out + term
-    else:
-        raise AssertionError("twist exponential failed to terminate")
-    return out
+
+def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
+    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)) and u cut to degree <= 2,
+    as `johnson_twist` computes it, without building L: the derivation's
+    image of a factor y is read off |a| and ell(a) when y first occurs.
+
+    With x the mate of y and (y.x) = +-1, the image is (y.x) times the terms
+    of L that start with x, first factor dropped: the degree-1 tails h_x h
+    from h h, and the degree-2 tails of N(h e) from its six rotations of
+    (i, j, k). A degree-2 tail fits only on a degree-1 term of the argument,
+    so those are built only for the factors found there."""
+    h, dh, e, de = _numerators(abs_a, ell_a)
+    check_genus(abs_a, u)
+    u = _cut(u)
+    m = lcm(dh, de)
+    mhh, mhe = m // dh, m // de
+    hd = dict(h)
+    # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for j, k, q in e:
+        ends.setdefault(j, []).append((k, q))
+        ends.setdefault(k, []).append((j, -q))
+
+    def degree1(y):
+        p = hd.get(mate(y))
+        if p is None:
+            return ()
+        p *= basis_pairing(y, mate(y)) * mhh
+        return [((j,), p * q) for j, q in h]
+
+    def degree2(y):
+        x = mate(y)
+        tails: dict[tuple[int, int], int] = {}
+        get = tails.get
+        # +-h_x q at (j, k), (k, j): the rotations that start with i = x
+        p = hd.get(x)
+        if p is not None:
+            for j, k, q in e:
+                c = p * q
+                tails[(j, k)] = get((j, k), 0) + c
+                tails[(k, j)] = get((k, j), 0) - c
+        # +-h_i q at (k, i), (i, k): those that start with j or k = x
+        for k, q in ends.get(x, ()):
+            for i, p in h:
+                c = p * q
+                tails[(k, i)] = get((k, i), 0) + c
+                tails[(i, k)] = get((i, k), 0) - c
+        sign = basis_pairing(y, x) * mhe
+        return [*images1[y], *((t, sign * c) for t, c in tails.items() if c)]
+
+    images1, images2 = _OnDemand(degree1), _OnDemand(degree2)
+    # a degree-1 term takes tails up to the degree bound, a degree-2 term
+    # degree-1 tails only
+    tables = (None, images2 if u.maxdeg == 2 else images1, images1)
+    return _exp_change(u, dh * m, tables)

@@ -127,14 +127,12 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
     # the twist path loads on demand: analyze needs neither module
-    from .expansion import L_theta, johnson_twist, theta0
+    from .expansion import theta0, twist
     from .tensor import TruncTensor
     rep = analyze(genus, a, b)
     if rep.i_A != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")
-    tb = theta0(rep.abs_b, rep.ell_b)
-    L = L_theta(rep.abs_a, rep.ell_a)
-    lhs = johnson_twist(L, tb).degree_part(2) - tb.degree_part(2)
+    lhs = twist(rep.abs_a, rep.ell_a, theta0(rep.abs_b, rep.ell_b)).degree_part(2)
     h, v = (TruncTensor.from_hvec(x, 2) for x in (rep.abs_a, rep.v))
     rhs = h * v - v * h
     return lhs == rhs, lhs, rhs

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .homology import HVec, basis_pairing, mate
-from .tensor import TruncTensor, _derivation
+from .tensor import TruncTensor, _images, _leibniz
 from .wedge import Wedge2, _Alternating, wedge
 from .words import check_genus
 
@@ -96,7 +96,9 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
 
     h acts on a single homology factor Y by contracting the first factor:
     (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
-    Truncation follows u; h may carry a higher degree bound. `_derivation(h)`
-    builds h's index of images once; the function it returns applies them.
+    Truncation follows u; h may carry a higher degree bound. `_images(h)`
+    builds h's index of images; `_leibniz` applies them.
     """
-    return _derivation(h)(u)
+    images = _images(h)
+    check_genus(h, u)
+    return _leibniz(u, h.den, (images,) * (u.maxdeg + 1))

@@ -163,9 +163,23 @@ class RationalTerms(Mapping):
         return len(self._t.nums)
 
 
-def _derivation(h: TruncTensor):
-    """The derivation attached to h as a function of u; see
-    `reference.derive`."""
+class _OnDemand(dict):
+    """A dict that builds a missing value with `build(key)` on first lookup
+    and keeps it."""
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _images(h: TruncTensor) -> _OnDemand:
+    """The derivation attached to h as its images on factors, for `_leibniz`;
+    see `reference.derive`."""
     if () in h.nums:
         raise ValueError("derivation datum must have zero constant term")
     # images[y]: the derivation's value on the factor y, as (tail, numerator)
@@ -175,25 +189,33 @@ def _derivation(h: TruncTensor):
     by_first: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for hs, hc in h.nums.items():
         by_first.setdefault(hs[0], []).append((hs[1:], hc))
-    images = {}
+    images = _OnDemand(lambda y: ())
     for x, items in by_first.items():
         items.sort(key=_degree)
         y = mate(x)
         if basis_pairing(y, x) == -1:
             items = [(tail, -hc) for tail, hc in items]
         images[y] = items
+    return images
 
-    def apply(u: TruncTensor) -> TruncTensor:
-        check_genus(h, u)
-        D = u.maxdeg
-        out: dict[tuple[int, ...], int] = {}
-        for s, c in u.nums.items():
-            room = D - len(s) + 1
-            for p, y in enumerate(s):
-                for tail, hc in images.get(y, ()):
-                    if len(tail) > room:
-                        break
-                    t = s[:p] + tail + s[p + 1:]
-                    out[t] = out.get(t, 0) + c * hc
-        return TruncTensor._make(u.genus, D, out, h.den * u.den)
-    return apply
+
+def _leibniz(u: TruncTensor, den: int, tables) -> TruncTensor:
+    """One application to u of a derivation given by its images on factors,
+    extended by the Leibniz rule and cut at u's degree bound. On a term of
+    degree d, `tables[d][y]` is the image of the factor y: (tail, numerator)
+    pairs over den, shortest tail first, of which only tails of length up to
+    maxdeg - d + 1 are used."""
+    D = u.maxdeg
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for s, c in u.nums.items():
+        room = D - len(s) + 1
+        images = tables[len(s)]
+        for p, y in enumerate(s):
+            head, rest = s[:p], s[p + 1:]
+            for tail, hc in images[y]:
+                if len(tail) > room:
+                    break
+                t = head + tail + rest
+                out[t] = get(t, 0) + c * hc
+    return TruncTensor._make(u.genus, D, out, den * u.den)

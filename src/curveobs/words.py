@@ -13,11 +13,13 @@ import re
 # Inputs past these bounds are rejected with WordError instead of exhausting
 # the interpreter stack or memory. Each bracket level costs the recursive
 # parser two frames, so MAX_NESTING stays well below the recursion limit.
-# Homology vectors carry 2g coordinates and ell costs O(g) per letter, so the
-# genus is capped as well.
+# Homology vectors carry 2g coordinates, and each letter of the ell fold
+# re-sums the running value, which holds up to g(2g-1) terms, so the genus is
+# capped as well.
 MAX_NESTING = 200
 MAX_LETTERS = 1_000_000
 MAX_GENUS = 1000
+_GENUS_DIGITS = len(str(MAX_GENUS))
 
 
 class WordError(ValueError):
@@ -185,8 +187,12 @@ class _Parser:
     def parse_term(self) -> list[int]:
         kind, text = self.take()
         if kind == "gen":
-            idx = _bounded_int(text[1:], MAX_GENUS)
-            if idx is None or not 1 <= idx <= self.genus:
+            # the token regex leaves only ASCII digits after x or y; an index
+            # with no significant digit, or more than MAX_GENUS has, is out
+            # of range without reaching int()
+            digits = text[1:].lstrip("0")
+            idx = int(digits) if 0 < len(digits) <= _GENUS_DIGITS else 0
+            if not 1 <= idx <= self.genus:
                 raise WordError(
                     f"generator index out of range 1..{self.genus} in {_shown(text)}"
                 )

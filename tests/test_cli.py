@@ -111,6 +111,18 @@ class TestAnalyze:
         assert lines[3]["error"] == "unknown token at '\u00e9'"
         assert lines[4]["verdict"] == "inconclusive"
 
+    def test_batch_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        # editors on Windows write one; it is dropped at the start of the
+        # file only, so a mark inside a later line still fails that line
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"\xef\xbb\xbf1\tx1\ty1\n\xef\xbb\xbf1\tx1\ty1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert lines[0]["verdict"] == "certified_positive_homological"
+        assert lines[1] == {"line": 2,
+                            "error": "genus '\\ufeff1' is not an integer"}
+
     def test_batch_line_endings_keep_the_output(self, capsys, tmp_path):
         text = "2\tx1 x2 y2 x2^-1\ty2 x1^-1\n\n1\tx1\ty1\n2\tx1\tx1\n"
         outs = []

@@ -166,3 +166,44 @@ class TestObstructionVectorMatchesAct2:
                      (one, w1, one, w2), (two, w1, two, w1)):
             with pytest.raises(ValueError):
                 obstruction_vector(*args)
+
+
+# --- the sparse-prefix fold against the literal dense fold -------------------
+
+def dense_ell_of_letters(genus, letters):
+    """The cocycle fold as first written: a dense HVec prefix, and each
+    letter's new terms as wedge(prefix, letter) scaled by 1/2."""
+    def letter_ell(l):
+        k = abs(l) - 1
+        sign = HALF * (-1 if k % 2 else 1) * (1 if l > 0 else -1)
+        return Wedge2.make(genus, [((k - k % 2, k - k % 2 + 1), sign)])
+    acc = Wedge2.zero(genus)
+    ab = HVec.zero(genus)
+    for l in letters:
+        lv = HVec.basis(genus, abs(l) - 1).scale(1 if l > 0 else -1)
+        acc = acc + letter_ell(l) + wedge(ab, lv).scale(HALF)
+        ab = ab + lv
+    return acc
+
+
+class TestSparsePrefixMatchesDenseFold:
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_unreduced_sequences(self, g):
+        rng = random.Random(500 + g)
+        for _ in range(30):
+            seq = []
+            for _ in range(rng.randint(0, 8)):
+                s = rng.choice([1, -1]) * rng.randrange(1, 2 * g + 1)
+                # plain letters, and runs x x^-1 that return the prefix to a
+                # class it held before, so its entries drop back to zero
+                seq += rng.choice([[s], [s] * rng.randint(1, 3)
+                                   + [-s] * rng.randint(1, 3), [s, -s, s]])
+            assert ell_of_letters(g, seq) == dense_ell_of_letters(g, seq), seq
+        assert ell_of_letters(g, []) == dense_ell_of_letters(g, []) == Wedge2.zero(g)
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_words_and_their_boundary(self, g):
+        rng = random.Random(520 + g)
+        for w in [boundary_word(g)] + [random_word_rng(g, rng.randint(0, 30), rng)
+                                       for _ in range(10)]:
+            assert ell(w) == dense_ell_of_letters(g, w.letters), w

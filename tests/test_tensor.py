@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from curveobs.ell import ell
-from curveobs.expansion import L_theta, johnson_twist, theta0
+from curveobs.expansion import L_theta, johnson_twist, theta0, twist
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze, twist_consistency
@@ -620,3 +620,62 @@ class TestTwistFastPaths:
             ok, lhs, rhs = twist_consistency(g, a, b)
             assert ok and rhs == embed2(wedge(rep.abs_a, rep.v), 2), (a, b)
             checked += 1
+
+
+# --- the on-demand twist against the materialised L -------------------------
+
+def rational_1_to_6(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+class TestTwistOnDemand:
+    """`twist` builds the derivation's images from |a| and ell(a) as factors
+    occur; `johnson_twist(L_theta(...), u)` builds all of L first."""
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_matches_the_materialised_twist(self, g):
+        rng = random.Random(700 + g)
+        n = 2 * g
+        crossing = 0
+        for _ in range(12):
+            h = HVec.from_coords(g, [rational_1_to_6(rng) if rng.random() < 0.5
+                                     else 0 for _ in range(n)])
+            e = Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
+                                 rational_1_to_6(rng))
+                                for _ in range(rng.randint(0, 2 * n))])
+            L = L_theta(h, e)
+            v = HVec.from_coords(g, [rational_1_to_6(rng) for _ in range(n)])
+            for u in (theta0(v, Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
+                                                 rational_1_to_6(rng))])),
+                      rational_tensor(g, rng, 2)):
+                got = twist(h, e, u)
+                want = johnson_twist(L, u).degree_part(2) - u.degree_part(2)
+                assert got.degree_part(2) == want, (h, e, u)
+                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, u)
+                crossing += intersection(h, HVec.from_coords(
+                    g, [u.coeff((k,)) for k in range(n)])) != 0
+        assert crossing  # pairs with i_A != 0 are among the cases
+
+    @pytest.mark.parametrize("g", (1, 2, 5))
+    def test_degree_bounds_1_and_3(self, g):
+        # u is cut to degree <= 2; at bound 1 only degree-1 tails fit
+        rng = random.Random(720 + g)
+        for _ in range(40):
+            h, e = sparse_hvec(g, rng), sparse_wedge2(g, rng)
+            L = L_theta(h, e)
+            for D in (1, 3):
+                u = rational_tensor(g, rng, D)
+                cut = TruncTensor(g, min(2, D), {s: c for s, c in u.terms.items()
+                                                  if len(s) <= 2})
+                got = twist(h, e, u)
+                assert is_canonical(got) and cut + got == johnson_twist(L, u), (h, e, u)
+
+    def test_keeps_the_builders_checks(self):
+        u = TruncTensor.one(1, 2)
+        for w in (Wedge2.make(1, [((0, 5), 1)]), Wedge2.make(1, [((-1, 0), 1)])):
+            with pytest.raises(ValueError, match="out of range"):
+                twist(HVec.basis(1, 0), w, u)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            twist(HVec.basis(1, 0), omega(2), u)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            twist(HVec.basis(2, 0), omega(2), u)

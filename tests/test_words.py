@@ -63,6 +63,22 @@ class TestParse:
         with pytest.raises(WordError):
             parse_word(bad, 2)
 
+    @pytest.mark.parametrize("token,shown", [
+        ("x0", "'x0'"), ("y000", "'y000'"), ("x3", "'x3'"), ("y1001", "'y1001'"),
+        ("x10000", "'x10000'"),
+        ("x" + "0" * 5000, "'x00000000000'... (5001 characters)"),
+        ("y" + "1" * 5000, "'y11111111111'... (5001 characters)"),
+    ])
+    def test_index_out_of_range_names_the_token(self, token, shown):
+        # the index is read from the token's digits alone; its text is the
+        # same for every length, past int()'s 4300-digit limit too
+        with pytest.raises(WordError) as exc:
+            parse_word(f"x1 {token}", 2)
+        assert str(exc.value) == f"generator index out of range 1..2 in {shown}"
+
+    def test_zero_padded_index(self):
+        assert parse_word("x02 y" + "0" * 5000 + "1", 2) == parse_word("x2 y1", 2)
+
     def test_earlier_parse_error_wins_over_a_later_unknown_token(self):
         # tokens are read as the parser needs them, so the first fault in
         # reading order is the one reported
