@@ -18,7 +18,8 @@ from . import __version__
 from .ell import ell
 from .homology import abelianize, basis_label
 from .obstruction import analyze, twist_consistency
-from .words import WordError, format_word, parse_genus, parse_word
+from .words import (WordError, _bounded_int, _shown, format_word,
+                    parse_genus, parse_word)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,6 +36,23 @@ def _genus(text: str) -> int:
         return parse_genus(text)
     except WordError as exc:  # argparse prints only 'invalid _genus value'
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_option(name: str, limit: int):
+    """An argparse type that reads an int by the genus field's rule: ASCII
+    digits after an optional sign, where int() also reads '_' and the digits
+    of other scripts; at most `limit` in absolute value."""
+    def parse(text: str) -> int:
+        try:
+            n = _bounded_int(text.strip(), limit)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} {_shown(text)} is not an integer") from None
+        if n is None or abs(n) > limit:
+            raise argparse.ArgumentTypeError(
+                f"{name} {_shown(text)} out of range -{limit}..{limit}")
+        return n
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,8 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("selftest",
                           help="run the ten acceptance criteria at a seed")
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--iterations", type=int, default=1)
+    p_st.add_argument("--seed", type=_int_option("seed", 10**18), default=0)
+    p_st.add_argument("--iterations", type=_int_option("iterations", 10**6),
+                      default=1)
     return parser
 
 

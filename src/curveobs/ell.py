@@ -5,8 +5,8 @@ fixed on generators (ell(x_j) = 1/2 X_j^Y_j, ell(y_j) = -1/2 X_j^Y_j) and
 extended by the cocycle rule ell(uv) = ell(u) + ell(v) + 1/2 |u|^|v|. The fold
 is evaluated on raw letter sequences and is invariant under free reduction.
 It keeps the class of the prefix as a sparse int dict, so a letter's new terms
-cost one per generator the prefix touches; the running sum is a Wedge2,
-re-summed at every letter.
+cost one per generator the prefix touches; the running sum is a Wedge2, put in
+canonical form once per letter.
 """
 
 from __future__ import annotations
@@ -19,31 +19,23 @@ from .wedge import Wedge2
 from .words import Word, check_genus
 
 
-def _letter_ell(genus: int, letter: int) -> Wedge2:
-    k = abs(letter) - 1
-    j = k // 2
-    # x_j carries +1/2 X_j^Y_j, y_j carries -1/2; inversion flips the sign
-    sign = Fraction(1, 2)
-    if k % 2 == 1:
-        sign = -sign
-    if letter < 0:
-        sign = -sign
-    return Wedge2.make(genus, [((2 * j, 2 * j + 1), sign)])
-
-
 def ell_of_letters(genus: int, letters) -> Wedge2:
     """Left-to-right cocycle fold over a (possibly unreduced) letter sequence.
 
     The prefix class ab is a sparse int dict {index: count}, so the letter
     +-e_k adds ell(letter) + 1/2 ab ^ (+-e_k): one term per index in the
-    prefix's support, with the 1/2 folded in."""
+    prefix's support, with the 1/2 folded in. x_j carries +1/2 X_j^Y_j, y_j
+    carries -1/2, and inversion flips the sign. The running sum, the
+    letter's own term and its prefix terms go through one `Wedge2.make`."""
     acc = Wedge2.zero(genus)
     ab: dict[int, int] = {}
     for l in letters:
         k = abs(l) - 1
         s = 1 if l > 0 else -1
-        acc = acc + _letter_ell(genus, l) + Wedge2.make(
-            genus, [((i, k), Fraction(s * c, 2)) for i, c in ab.items()])
+        acc = Wedge2.make(genus, [
+            *acc.terms.items(),
+            ((k & ~1, k | 1), Fraction(-s if k & 1 else s, 2)),
+            *(((i, k), Fraction(s * c, 2)) for i, c in ab.items())])
         c = ab.get(k, 0) + s
         if c:
             ab[k] = c

@@ -5,14 +5,13 @@ Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The derivation
 datum L(a) is exact through degree 3, which is all the twist formula needs for
 exact degree <= 2 output. `L_theta` and `johnson_twist` build L(a) and apply
-it; `twist` applies the same exponential with the derivation's images read
-off |a| and ell(a) as factors occur, and is what the twist cross-check runs.
+it; `twist` applies the same exponential with the derivation read off |a|
+and ell(a), on ints, and is what the twist cross-check runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .homology import HVec, basis_pairing, mate
 from .tensor import TruncTensor, _images, _leibniz, _OnDemand
@@ -24,6 +23,14 @@ from .words import check_genus
 _MAX_EXP_ITER = 64
 
 
+def _hvec_numerators(v: HVec):
+    """The nonzero (index, numerator) pairs of v over their least common
+    denominator, and that denominator."""
+    d = lcm(*(c.denominator for c in v.coords))
+    return [(i, c.numerator * (d // c.denominator))
+            for i, c in enumerate(v.coords) if c], d
+
+
 def _numerators(abs_w: HVec, ell_w: Wedge2):
     """|w| and ell(w) as ints: the nonzero (index, numerator) pairs of |w|
     over their least common denominator dh, and the (i, j, numerator) terms
@@ -31,9 +38,7 @@ def _numerators(abs_w: HVec, ell_w: Wedge2):
     ell index outside 0..2g-1, as the tensor constructors do."""
     check_genus(abs_w, ell_w)
     n = 2 * abs_w.genus
-    dh = lcm(*(c.denominator for c in abs_w.coords))
-    h = [(i, c.numerator * (dh // c.denominator))
-         for i, c in enumerate(abs_w.coords) if c]
+    h, dh = _hvec_numerators(abs_w)
     de = lcm(*(c.denominator for c in ell_w.terms.values()))
     e = []
     for (i, j), c in ell_w.terms.items():
@@ -101,17 +106,29 @@ def _cut(u: TruncTensor) -> TruncTensor:
         u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
 
 
-def _exp_change(u: TruncTensor, den: int, tables) -> TruncTensor:
-    """exp(-D)(u) - u, the sum over k >= 1 of (-D)^k(u) / k!, for the
-    derivation D given to `tensor._leibniz` as (den, tables)."""
-    change = TruncTensor._make(u.genus, u.maxdeg, {}, 1)
-    term = u
-    for k in range(1, _MAX_EXP_ITER + 1):
-        term = _leibniz(term, den, tables).scale(Fraction(-1, k))
-        if term.is_zero():
-            return change
-        change = change + term
-    raise AssertionError("twist exponential failed to terminate")
+def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
+    """exp(-D)(u) - u, the sum over k >= 1 of (-D)^k(u) / k!, for a
+    derivation D that `apply` takes from the int numerators of a tensor to
+    those of its image over den times its denominator, zeros dropped.
+
+    D^k(u) is kept over u.den den^k, and the sum over k = 1..K is put over
+    u.den den^K K! once, with weights (-1)^k K!/k! den^(K-k)."""
+    powers = []
+    term = u.nums
+    while term := apply(term):
+        powers.append(term)
+        if len(powers) == _MAX_EXP_ITER:
+            raise AssertionError("twist exponential failed to terminate")
+    K = len(powers)
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    w = (-1) ** K
+    for k in range(K, 0, -1):
+        for s, n in powers[k - 1].items():
+            out[s] = get(s, 0) + w * n
+        w *= -k * den
+    return TruncTensor._make(u.genus, u.maxdeg, out,
+                             u.den * den ** K * factorial(K))
 
 
 def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
@@ -122,37 +139,33 @@ def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
     images = _images(L)
     check_genus(L, u)
     u = _cut(u)
-    return u + _exp_change(u, L.den, (images,) * (u.maxdeg + 1))
+    return u + _exp_change(u, L.den, lambda t: _leibniz(t, u.maxdeg, images))
 
 
 def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     """exp(-L)(u) - u for L = L_theta(|a|, ell(a)) and u cut to degree <= 2,
-    as `johnson_twist` computes it, without building L: the derivation's
-    image of a factor y is read off |a| and ell(a) when y first occurs.
+    as `johnson_twist` computes it, without building L.
 
-    With x the mate of y and (y.x) = +-1, the image is (y.x) times the terms
-    of L that start with x, first factor dropped: the degree-1 tails h_x h
-    from h h, and the degree-2 tails of N(h e) from its six rotations of
-    (i, j, k). A degree-2 tail fits only on a degree-1 term of the argument,
-    so those are built only for the factors found there."""
+    The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
+    to (y.x) times the terms of L that start with x, first factor dropped.
+    From h h, its degree-1 part is rank one: X_y -> c_y h with c_y = (y.x) h_x,
+    so it sends a degree-1 part z to (c.z) h and a degree-2 part M to
+    h (c^T M) + (M c) h. From the six rotations of N(h e), its degree-2 part
+    fits only on degree-1 terms, and is built for the factors found there."""
     h, dh, e, de = _numerators(abs_a, ell_a)
     check_genus(abs_a, u)
     u = _cut(u)
     m = lcm(dh, de)
     mhh, mhe = m // dh, m // de
+    den = dh * m
     hd = dict(h)
+    # c[y] h_j is the numerator of D(X_y) at X_j over den
+    c = {mate(i): basis_pairing(mate(i), i) * p * mhh for i, p in h}
     # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
     ends: dict[int, list[tuple[int, int]]] = {}
     for j, k, q in e:
         ends.setdefault(j, []).append((k, q))
         ends.setdefault(k, []).append((j, -q))
-
-    def degree1(y):
-        p = hd.get(mate(y))
-        if p is None:
-            return ()
-        p *= basis_pairing(y, mate(y)) * mhh
-        return [((j,), p * q) for j, q in h]
 
     def degree2(y):
         x = mate(y)
@@ -162,20 +175,65 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
         p = hd.get(x)
         if p is not None:
             for j, k, q in e:
-                c = p * q
-                tails[(j, k)] = get((j, k), 0) + c
-                tails[(k, j)] = get((k, j), 0) - c
+                r = p * q
+                tails[(j, k)] = get((j, k), 0) + r
+                tails[(k, j)] = get((k, j), 0) - r
         # +-h_i q at (k, i), (i, k): those that start with j or k = x
         for k, q in ends.get(x, ()):
             for i, p in h:
-                c = p * q
-                tails[(k, i)] = get((k, i), 0) + c
-                tails[(i, k)] = get((i, k), 0) - c
+                r = p * q
+                tails[(k, i)] = get((k, i), 0) + r
+                tails[(i, k)] = get((i, k), 0) - r
         sign = basis_pairing(y, x) * mhe
-        return [*images1[y], *((t, sign * c) for t, c in tails.items() if c)]
+        return [(t, sign * r) for t, r in tails.items() if r]
 
-    images1, images2 = _OnDemand(degree1), _OnDemand(degree2)
-    # a degree-1 term takes tails up to the degree bound, a degree-2 term
-    # degree-1 tails only
-    tables = (None, images2 if u.maxdeg == 2 else images1, images1)
-    return _exp_change(u, dh * m, tables)
+    images2 = _OnDemand(degree2)
+
+    def apply(t):
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        cz = 0
+        cM: dict[int, int] = {}
+        Mc: dict[int, int] = {}
+        for s, n in t.items():
+            if len(s) == 1:
+                y = s[0]
+                if y in c:
+                    cz += c[y] * n
+                if u.maxdeg == 2:
+                    for tail, q in images2[y]:
+                        out[tail] = get(tail, 0) + n * q
+            elif len(s) == 2:
+                i, j = s
+                if i in c:
+                    cM[j] = cM.get(j, 0) + c[i] * n
+                if j in c:
+                    Mc[i] = Mc.get(i, 0) + n * c[j]
+        if cz:
+            for j, p in h:
+                out[(j,)] = get((j,), 0) + cz * p
+        for j, q in cM.items():
+            for i, p in h:
+                out[(i, j)] = get((i, j), 0) + p * q
+        for i, q in Mc.items():
+            for j, p in h:
+                out[(i, j)] = get((i, j), 0) + q * p
+        return {s: n for s, n in out.items() if n}
+
+    return _exp_change(u, den, apply)
+
+
+def bracket(u: HVec, v: HVec) -> TruncTensor:
+    """u v - v u at degree bound 2, in one int pass; the twist cross-check's
+    closed form."""
+    check_genus(u, v)
+    un, du = _hvec_numerators(u)
+    vn, dv = _hvec_numerators(v)
+    nums: dict[tuple[int, ...], int] = {}
+    get = nums.get
+    for i, p in un:
+        for j, q in vn:
+            r = p * q
+            nums[(i, j)] = get((i, j), 0) + r
+            nums[(j, i)] = get((j, i), 0) - r
+    return TruncTensor._make(u.genus, 2, nums, du * dv)

@@ -127,12 +127,10 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, 
     Returns (equal, twisted side, closed-form side); expected always equal.
     """
     # the twist path loads on demand: analyze needs neither module
-    from .expansion import theta0, twist
-    from .tensor import TruncTensor
+    from .expansion import bracket, theta0, twist
     rep = analyze(genus, a, b)
     if rep.i_A != 0:
         raise ValueError("twist cross-check requires algebraic intersection 0")
     lhs = twist(rep.abs_a, rep.ell_a, theta0(rep.abs_b, rep.ell_b)).degree_part(2)
-    h, v = (TruncTensor.from_hvec(x, 2) for x in (rep.abs_a, rep.v))
-    rhs = h * v - v * h
+    rhs = bracket(rep.abs_a, rep.v)
     return lhs == rhs, lhs, rhs

@@ -101,4 +101,5 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
     """
     images = _images(h)
     check_genus(h, u)
-    return _leibniz(u, h.den, (images,) * (u.maxdeg + 1))
+    return TruncTensor._make(u.genus, u.maxdeg,
+                             _leibniz(u.nums, u.maxdeg, images), h.den * u.den)

@@ -199,18 +199,16 @@ def _images(h: TruncTensor) -> _OnDemand:
     return images
 
 
-def _leibniz(u: TruncTensor, den: int, tables) -> TruncTensor:
-    """One application to u of a derivation given by its images on factors,
-    extended by the Leibniz rule and cut at u's degree bound. On a term of
-    degree d, `tables[d][y]` is the image of the factor y: (tail, numerator)
-    pairs over den, shortest tail first, of which only tails of length up to
-    maxdeg - d + 1 are used."""
-    D = u.maxdeg
+def _leibniz(nums: dict[tuple[int, ...], int], D: int, images) -> dict:
+    """One application, to the int numerators of a tensor at degree bound D,
+    of a derivation given by its images on factors, extended by the Leibniz
+    rule and cut at D; the image's numerators, zeros dropped, are over the
+    images' denominator times the tensor's. `images[y]` is the image of the
+    factor y: (tail, numerator) pairs, shortest tail first."""
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for s, c in u.nums.items():
+    for s, c in nums.items():
         room = D - len(s) + 1
-        images = tables[len(s)]
         for p, y in enumerate(s):
             head, rest = s[:p], s[p + 1:]
             for tail, hc in images[y]:
@@ -218,4 +216,4 @@ def _leibniz(u: TruncTensor, den: int, tables) -> TruncTensor:
                     break
                 t = head + tail + rest
                 out[t] = get(t, 0) + c * hc
-    return TruncTensor._make(u.genus, D, out, den * u.den)
+    return {t: c for t, c in out.items() if c}

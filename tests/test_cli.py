@@ -8,7 +8,7 @@ import pytest
 
 import curveobs
 from curveobs import selftest
-from curveobs.cli import main
+from curveobs.cli import _build_parser, main
 from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
 
 
@@ -358,6 +358,33 @@ class TestSelftest:
     def test_bad_iterations(self, capsys):
         code, _, err = run(capsys, "selftest", "--iterations", "0")
         assert code == 1
+
+    # --seed and --iterations are read as a genus field is: int() would take
+    # '1_0' as 10 and the digits of other scripts
+    @pytest.mark.parametrize("option", ["--seed", "--iterations"])
+    @pytest.mark.parametrize("token", ["1_0", "\uff13", "\u0663"])
+    def test_int_options_take_ascii_digits_only(self, capsys, option, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", option, token])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        name = option[2:]
+        assert f"argument {option}: {name} {token!r} is not an integer" in err
+
+    def test_int_options_past_their_bound_are_named(self, capsys):
+        token = "9" * 5000  # int() errs past 4300 digits, naming no token
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", token])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: seed '999999999999'... (5000 characters) " \
+            "out of range" in err
+
+    def test_int_options_read_sign_and_leading_zeros(self):
+        args = _build_parser().parse_args(
+            ["selftest", "--seed", "-0012", "--iterations", "+3"])
+        assert (args.seed, args.iterations) == (-12, 3)
 
     def test_failing_criterion_exits_2(self, capsys, monkeypatch):
         def broken(rng, n):

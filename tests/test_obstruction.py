@@ -3,14 +3,17 @@ import importlib
 import json
 import pickle
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from curveobs.ell import obstruction_vector
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
-from curveobs.reference import embed2
+from curveobs.reference import Wedge3, act3, embed2
 from curveobs.wedge import wedge
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
@@ -119,6 +122,66 @@ class TestVerdictInvariance:
             certified += rep.verdict == VERDICT_THEOREM
             done += 1
         assert certified > 0
+
+
+def expansion_shift(t, z):
+    """How ell(w) moves when the symplectic expansion changes by t in
+    Lambda^3 H: by the contraction of t with z = |w|."""
+    return act3(t, z)
+
+
+class TestExpansionIndependence:
+    """v does not depend on which symplectic expansion is used.
+
+    Two symplectic expansions agree through degree 2 up to a degree-1
+    symplectic derivation, and those are Lambda^3 H (Kawazumi-Kuno, "The
+    logarithms of Dehn twists"; Massuyeau, "Infinitesimal Morita
+    homomorphisms and the tree-level of the LMO invariant"). So a change of
+    expansion by t moves ell(w) to ell(w) + i_{|w|} t, and v, which is linear
+    in each ell, by i_{|b|} i_{|a|} t + i_{|a|} i_{|b|} t = 0.
+
+    The basis check at genus 1-3 covers every genus. The change of v is
+    linear in t and in each class, so it is a sum over basis triples
+    (t, e_i, e_j). Contracting t with e_i is nonzero only when the mate of
+    e_i is a factor of t, and likewise for e_j, so a triple whose change is
+    nonzero lies in the at most three symplectic blocks that t touches.
+    Renumbering blocks commutes with the contractions and carries such a
+    triple to one at genus 3 or less."""
+
+    def test_every_basis_triple_up_to_genus_3(self):
+        checked = 0
+        for g in (1, 2, 3):
+            basis = [HVec.basis(g, k) for k in range(2 * g)]
+            for t in combinations(range(2 * g), 3):
+                t = Wedge3.make(g, [(t, 1)])
+                for a in basis:
+                    for b in basis:
+                        moved = obstruction_vector(a, expansion_shift(t, a),
+                                                   b, expansion_shift(t, b))
+                        assert moved.is_zero(), (t, a, b)
+                        checked += 1
+        assert checked == 784  # 4 trivectors x 4 x 4 at genus 2, 20 x 6 x 6 at 3
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        done = moved = 0
+        while done < 300:
+            g = rng.randint(2, 4)
+            a = random_word_rng(g, rng.randint(1, 10), rng)
+            b = random_word_rng(g, rng.randint(1, 10), rng)
+            rep = analyze(g, a, b)
+            if rep.i_A != 0:
+                continue
+            t = Wedge3.make(g, [(tuple(rng.randrange(2 * g) for _ in range(3)),
+                                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                                for _ in range(rng.randint(1, 4))])
+            ell_a = rep.ell_a + expansion_shift(t, rep.abs_a)
+            ell_b = rep.ell_b + expansion_shift(t, rep.abs_b)
+            v = obstruction_vector(rep.abs_a, ell_a, rep.abs_b, ell_b)
+            assert v == rep.v, (a, b, t)
+            moved += (ell_a, ell_b) != (rep.ell_a, rep.ell_b)
+            done += 1
+        assert moved > 200  # most shifts change ell
 
 
 class TestDependentClasses:

@@ -10,7 +10,7 @@ from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze, twist_consistency
 from curveobs.reference import cyclic_N, derive, embed2, embed3, omega, wedge3
-from curveobs.tensor import TruncTensor
+from curveobs.tensor import TruncTensor, _images
 from curveobs.wedge import Wedge2, wedge
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
@@ -679,3 +679,68 @@ class TestTwistOnDemand:
             twist(HVec.basis(1, 0), omega(2), u)
         with pytest.raises(ValueError, match="genus mismatch"):
             twist(HVec.basis(2, 0), omega(2), u)
+
+
+# --- the rank-one degree-1 action that `twist` applies ----------------------
+
+def rank_one_coefficients(h):
+    """c with c_y = (y.x) h_x for x the mate of y: the derivation of L(a)
+    sends X_y to c_y h in degree 1."""
+    return HVec(h.genus, tuple(basis_pairing(y, mate(y)) * h.coords[mate(y)]
+                               for y in range(2 * h.genus)))
+
+
+class TestRankOneDegreeOneAction:
+    """L's degree-2 part is h h, so the degree-1 part of its derivation is
+    X_y -> c_y h, and on a degree-2 part M the derivation is
+    h (c^T M) + (M c) h. `twist` applies it in that form."""
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_degree_one_tails_are_multiples_of_h(self, g):
+        rng = random.Random(740 + g)
+        for _ in range(10):
+            h, e = rand_hvec(g, rng), sparse_wedge2(g, rng)
+            L = L_theta(h, e)
+            images = _images(L)
+            c = rank_one_coefficients(h)
+            for y in range(2 * g):
+                got = {t[0]: Fraction(n, L.den) for t, n in images[y] if len(t) == 1}
+                want = {j: c.coords[y] * x for j, x in enumerate(h.coords)
+                        if c.coords[y] * x}
+                assert got == want, (h, e, y)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_degree_two_leibniz_action(self, g):
+        rng = random.Random(760 + g)
+        n = 2 * g
+        for _ in range(10):
+            h, e = rand_hvec(g, rng), sparse_wedge2(g, rng)
+            M = rational_tensor(g, rng, 2, min_deg=2)
+            c = rank_one_coefficients(h).coords
+            cM = HVec(g, tuple(sum((c[i] * M.coeff((i, j)) for i in range(n)),
+                                   Fraction(0)) for j in range(n)))
+            Mc = HVec(g, tuple(sum((M.coeff((i, j)) * c[j] for j in range(n)),
+                                   Fraction(0)) for i in range(n)))
+            th, tcM, tMc = (TruncTensor.from_hvec(x, 2) for x in (h, cM, Mc))
+            assert derive(L_theta(h, e), M) == th * tcM + tMc * th, (h, e, M)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_twist_keeps_its_contract_at_every_degree_bound(self, g):
+        # the contract of TestTwistOnDemand at bounds 1, 2 and 3, on random
+        # rational data at every genus; where D^2(u) != 0 the exponential
+        # weights two powers
+        rng = random.Random(780 + g)
+        second_power = 0
+        for _ in range(10):
+            h, e = rand_hvec(g, rng), sparse_wedge2(g, rng)
+            L = L_theta(h, e)
+            for D in (1, 2, 3):
+                for u in (rational_tensor(g, rng, D),
+                          theta0(rand_hvec(g, rng), sparse_wedge2(g, rng))):
+                    cut = TruncTensor(g, min(2, u.maxdeg),
+                                      {s: c for s, c in u.terms.items() if len(s) <= 2})
+                    got = twist(h, e, u)
+                    assert is_canonical(got), (h, e, u)
+                    assert cut + got == johnson_twist(L, u), (h, e, u)
+                    second_power += not derive(L, derive(L, cut)).is_zero()
+        assert second_power
