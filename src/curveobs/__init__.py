@@ -7,7 +7,7 @@ from .ell import ell, ell_of_letters, obstruction_vector
 from .homology import (HVec, LatticeWitness, abelianize, intersection,
                        is_integral, lattice_member)
 from .obstruction import Report, analyze, twist_consistency
-from .wedge import Wedge2, wedge
+from .wedge import Wedge2
 from .words import (Word, WordError, boundary_word, commutator, format_word,
                     parse_word, random_commutator_element_rng,
                     random_word_rng)
@@ -17,9 +17,10 @@ from .words import (Word, WordError, boundary_word, commutator, format_word,
 # reads the defining module's attribute afresh: nothing is cached here.
 _LAZY = {
     "TruncTensor": "tensor",
-    **dict.fromkeys(("theta0", "L_theta", "johnson_twist"), "expansion"),
-    **dict.fromkeys(("Wedge3", "act2", "wedge3", "act3", "omega", "embed2",
-                     "embed3", "cyclic_N", "derive"), "reference"),
+    "theta0": "expansion",
+    **dict.fromkeys(("wedge", "Wedge3", "act2", "wedge3", "act3", "omega",
+                     "embed2", "embed3", "cyclic_N", "derive", "L_theta",
+                     "johnson_twist"), "reference"),
 }
 
 

@@ -1,12 +1,12 @@
-"""Degree-2 data of the built-in expansion, the derivation attached to a word,
-and the truncated twist automorphism.
+"""What the twist cross-check runs: the degree-2 expansion of a word, the
+twist along a word applied to it, and the closed form it is compared with.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
-generator values of ell, so theta0 is built at degree bound 2. The derivation
-datum L(a) is exact through degree 3, which is all the twist formula needs for
-exact degree <= 2 output. `L_theta` and `johnson_twist` build L(a) and apply
-it; `twist` applies the same exponential with the derivation read off |a|
-and ell(a), on ints, and is what the twist cross-check runs.
+generator values of ell, so theta0 is built at degree bound 2. The twist
+exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `twist`
+reads the derivation of L(a) off |a| and ell(a), on ints, without building
+L(a). `reference.L_theta` and `reference.johnson_twist` are its defining
+forms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import factorial, lcm
 
 from .homology import HVec, basis_pairing, mate
-from .tensor import TruncTensor, _images, _leibniz, _OnDemand
+from .tensor import TruncTensor
 from .wedge import Wedge2
 from .words import check_genus
 
@@ -68,35 +68,6 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
     return TruncTensor._make(abs_w.genus, 2, nums, den)
 
 
-def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
-    """Derivation datum of the twist along a word a, through degree 3, from
-    its class h = |a| and e = embedded ell(a): (1/2) N(l l) for l = h + e,
-    which is h h + N(h e) through degree 3, as l l = h h + h e + e h + (degree
-    4), (1/2) N(h h) = h h, and N(e h) = N(h e): both sum the same three
-    rotations of each term. Degree 4 would need unknown data.
-
-    Built in one pass as int numerators over one denominator: each term
-    c X_j^X_k of ell(a) embeds as c (X_j X_k - X_k X_j), so h_i contributes
-    h_i c at the three rotations of (i, j, k) and -h_i c at those of
-    (i, k, j). `reference.cyclic_N` and `reference.embed2` are the
-    references."""
-    h, dh, e, de = _numerators(abs_a, ell_a)
-    m = lcm(dh, de)
-    mhh, mhe = m // dh, m // de
-    nums: dict[tuple[int, ...], int] = {}
-    get = nums.get
-    for i, p in h:
-        for j, q in h:
-            nums[(i, j)] = p * q * mhh
-        for j, k, q in e:
-            c = p * q * mhe
-            for t in ((i, j, k), (j, k, i), (k, i, j)):
-                nums[t] = get(t, 0) + c
-            for t in ((i, k, j), (k, j, i), (j, i, k)):
-                nums[t] = get(t, 0) - c
-    return TruncTensor._make(abs_a.genus, 3, nums, dh * m)
-
-
 def _cut(u: TruncTensor) -> TruncTensor:
     """u cut to degree <= min(2, u.maxdeg), where the twist is exact:
     derivation by L never lowers degree, so higher terms of u cannot reach
@@ -131,20 +102,9 @@ def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
                              u.den * den ** K * factorial(K))
 
 
-def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
-    """Apply the truncated twist automorphism exp(-L) to u, for the
-    derivation datum L = L_theta(|a|, ell(a)) of the twist along a, with u
-    cut to degree <= 2 first: the output is exact only that far. `twist`
-    computes the change without building L."""
-    images = _images(L)
-    check_genus(L, u)
-    u = _cut(u)
-    return u + _exp_change(u, L.den, lambda t: _leibniz(t, u.maxdeg, images))
-
-
 def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     """exp(-L)(u) - u for L = L_theta(|a|, ell(a)) and u cut to degree <= 2,
-    as `johnson_twist` computes it, without building L.
+    as `reference.johnson_twist` computes it, without building L.
 
     The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
     to (y.x) times the terms of L that start with x, first factor dropped.
@@ -187,7 +147,8 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
         sign = basis_pairing(y, x) * mhe
         return [(t, sign * r) for t, r in tails.items() if r]
 
-    images2 = _OnDemand(degree2)
+    # degree2(y) for each factor y met so far
+    images2: dict[int, list[tuple[tuple[int, int], int]]] = {}
 
     def apply(t):
         out: dict[tuple[int, ...], int] = {}
@@ -201,6 +162,8 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
                 if y in c:
                     cz += c[y] * n
                 if u.maxdeg == 2:
+                    if y not in images2:
+                        images2[y] = degree2(y)
                     for tail, q in images2[y]:
                         out[tail] = get(tail, 0) + n * q
             elif len(s) == 2:

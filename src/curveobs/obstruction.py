@@ -118,13 +118,15 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
     )
 
 
-def twist_consistency(genus: int, a: Word, b: Word) -> tuple[bool, TruncTensor, TruncTensor]:
+def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     """Compare the degree-2 change of b's expansion under the twist along a
     (derivation-exponential path) against the closed form |a| ^ v, as the
     commutator |a| v - v |a|. Both sides are built from analyze's report: the
     expansion of b and the twist datum from its |b|, ell(b) and |a|, ell(a).
 
-    Returns (equal, twisted side, closed-form side); expected always equal.
+    Returns (equal, twisted side, closed-form side), the sides as degree-2
+    `TruncTensor`s (the annotation leaves them out, as `analyze` loads no
+    tensor code); expected always equal.
     """
     # the twist path loads on demand: analyze needs neither module
     from .expansion import bracket, theta0, twist

@@ -1,24 +1,39 @@
 """Reference algebra: the slow, direct forms the tests and `selftest` hold
 the production path against. No subcommand but `selftest` loads this module.
 
-Degree-3 exterior elements and the actions of degree 2 and 3 on homology,
-the symplectic form, the embeddings of exterior elements as tensors, and the
-cyclic and derivation operators on tensors that `expansion` builds in one
-pass.
+`wedge` and degree-3 exterior elements, the actions of degree 2 and 3 on
+homology, the symplectic form, the embeddings of exterior elements as
+tensors, the cyclic and derivation operators on tensors, and the twist
+derivation `L_theta` with the twist automorphism `johnson_twist`, each in its
+defining form. `expansion.twist` computes the twist without building L.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .expansion import _MAX_EXP_ITER
 from .homology import HVec, basis_pairing, mate
-from .tensor import TruncTensor, _images, _leibniz
-from .wedge import Wedge2, _Alternating, wedge
+from .tensor import TruncTensor, _degree
+from .wedge import Wedge2, _Alternating
 from .words import check_genus
 
 
 class Wedge3(_Alternating):
     """Degree-3 elements X^Y^Z, built by `wedge3`, acted on by `act3`."""
+
+
+def wedge(u: HVec, v: HVec) -> Wedge2:
+    check_genus(u, v)
+    items = []
+    for i, a in enumerate(u.coords):
+        if a == 0:
+            continue
+        for j, b in enumerate(v.coords):
+            if b == 0:
+                continue
+            items.append(((i, j), a * b))
+    return Wedge2.make(u.genus, items)
 
 
 def act2(w: Wedge2, z: HVec) -> HVec:
@@ -96,10 +111,52 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
 
     h acts on a single homology factor Y by contracting the first factor:
     (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
-    Truncation follows u; h may carry a higher degree bound. `_images(h)`
-    builds h's index of images; `_leibniz` applies them.
+    Truncation follows u; h may carry a higher degree bound.
+
+    Only the terms of h whose first factor X is Y's symplectic mate pair
+    nonzero, with (Y.X) = +-1, so h is grouped by that mate in one pass;
+    each group is sorted shortest tail first, and a scan stops at the first
+    tail that does not fit.
     """
-    images = _images(h)
+    if () in h.nums:
+        raise ValueError("derivation datum must have zero constant term")
     check_genus(h, u)
-    return TruncTensor._make(u.genus, u.maxdeg,
-                             _leibniz(u.nums, u.maxdeg, images), h.den * u.den)
+    images: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for s, c in h.nums.items():
+        y = mate(s[0])
+        images.setdefault(y, []).append((s[1:], basis_pairing(y, s[0]) * c))
+    for tails in images.values():
+        tails.sort(key=_degree)
+    D = u.maxdeg
+    out: dict[tuple[int, ...], int] = {}
+    for s, c in u.nums.items():
+        room = D - len(s) + 1
+        for p, y in enumerate(s):
+            for tail, hc in images.get(y, ()):
+                if len(tail) > room:
+                    break
+                t = s[:p] + tail + s[p + 1:]
+                out[t] = out.get(t, 0) + c * hc
+    return TruncTensor._make(u.genus, D, out, h.den * u.den)
+
+
+def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
+    """Derivation datum of the twist along a word a, through degree 3, from
+    its class |a| and ell(a): (1/2) N(l l) for l = |a| + embedded ell(a).
+    Degree 4 would need unknown data."""
+    l = TruncTensor.from_hvec(abs_a, 3) + embed2(ell_a, 3)
+    return cyclic_N(l * l).scale(Fraction(1, 2))
+
+
+def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
+    """Apply the truncated twist automorphism exp(-D), the sum over k >= 0 of
+    (-D)^k(u) / k!, for the derivation D attached to L = L_theta(|a|, ell(a)),
+    with u cut to degree <= 2 first: the output is exact only that far, and
+    D never lowers degree, so higher terms of u cannot reach it."""
+    out = term = TruncTensor(u.genus, min(2, u.maxdeg), u.terms)
+    for k in range(1, _MAX_EXP_ITER + 1):
+        term = derive(L, term).scale(Fraction(-1, k))
+        if term.is_zero():
+            return out
+        out = out + term
+    raise AssertionError("twist exponential failed to terminate")

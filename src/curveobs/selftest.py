@@ -13,12 +13,11 @@ import random
 from fractions import Fraction
 
 from .ell import ell, ell_of_letters
-from .expansion import L_theta, johnson_twist
 from .homology import HVec, abelianize, intersection, lattice_member
 from .obstruction import VERDICT_INCONCLUSIVE, analyze, twist_consistency
-from .reference import act2, embed3, omega, wedge3
+from .reference import (L_theta, act2, embed3, johnson_twist, omega, wedge,
+                        wedge3)
 from .tensor import TruncTensor
-from .wedge import wedge
 from .words import (boundary_word, commutator, format_word, generator,
                     parse_word, random_word_rng)
 
@@ -232,10 +231,16 @@ def criterion_09_dependent_classes(rng, n):
 
 
 def criterion_10_lattice_oracle(rng, n):
+    def ints(x):
+        if any(c.denominator != 1 for c in x.coords):
+            raise SelfTestFailure(f"the oracle scans integral vectors only: {x}")
+        return [int(c) for c in x.coords]
+
     def brute(v, u1, u2):
+        rows = list(zip(ints(v), ints(u1), ints(u2)))
         for m in range(-20, 21):
             for n in range(-20, 21):
-                if u1.scale(m) + u2.scale(n) == v:
+                if all(m * a + n * b == c for c, a, b in rows):
                     return True
         return False
 

@@ -9,6 +9,10 @@ and `coeff` and the `terms` view build them.
 Every operation discards terms above the degree bound. Every stored
 coefficient is exact: a tensor whose higher coefficients are not known is built
 at a lower degree bound instead.
+
+This module holds the ring operations. The cyclic and derivation operators
+are in `reference`, in their defining forms; `expansion` builds the tensors
+the twist cross-check needs directly as int numerators.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from .homology import HVec, basis_pairing, mate
+from .homology import HVec
 from .words import check_genus
 
 
@@ -161,59 +165,3 @@ class RationalTerms(Mapping):
 
     def __len__(self) -> int:
         return len(self._t.nums)
-
-
-class _OnDemand(dict):
-    """A dict that builds a missing value with `build(key)` on first lookup
-    and keeps it."""
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-def _images(h: TruncTensor) -> _OnDemand:
-    """The derivation attached to h as its images on factors, for `_leibniz`;
-    see `reference.derive`."""
-    if () in h.nums:
-        raise ValueError("derivation datum must have zero constant term")
-    # images[y]: the derivation's value on the factor y, as (tail, numerator)
-    # pairs, shortest tail first; only terms whose first factor x is y's
-    # symplectic mate pair nonzero, so h is grouped by x in one pass and
-    # each short group sorted and signed by the pairing (y.x) = +-1
-    by_first: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for hs, hc in h.nums.items():
-        by_first.setdefault(hs[0], []).append((hs[1:], hc))
-    images = _OnDemand(lambda y: ())
-    for x, items in by_first.items():
-        items.sort(key=_degree)
-        y = mate(x)
-        if basis_pairing(y, x) == -1:
-            items = [(tail, -hc) for tail, hc in items]
-        images[y] = items
-    return images
-
-
-def _leibniz(nums: dict[tuple[int, ...], int], D: int, images) -> dict:
-    """One application, to the int numerators of a tensor at degree bound D,
-    of a derivation given by its images on factors, extended by the Leibniz
-    rule and cut at D; the image's numerators, zeros dropped, are over the
-    images' denominator times the tensor's. `images[y]` is the image of the
-    factor y: (tail, numerator) pairs, shortest tail first."""
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for s, c in nums.items():
-        room = D - len(s) + 1
-        for p, y in enumerate(s):
-            head, rest = s[:p], s[p + 1:]
-            for tail, hc in images[y]:
-                if len(tail) > room:
-                    break
-                t = head + tail + rest
-                out[t] = get(t, 0) + c * hc
-    return {t: c for t, c in out.items() if c}

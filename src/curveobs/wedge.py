@@ -1,13 +1,14 @@
 """Exterior powers of the homology as the production path uses them: the
-alternating arithmetic and degree 2, `Wedge2` and `wedge`. Degree 3, the
-tensor embeddings and the actions on homology vectors are in `reference`."""
+alternating arithmetic and degree 2, `Wedge2`. The wedge of two homology
+vectors, degree 3, the tensor embeddings and the actions on homology vectors
+are in `reference`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from .homology import HVec, basis_label, format_terms
+from .homology import basis_label, format_terms
 from .words import _Record, _set, check_genus
 
 
@@ -72,16 +73,3 @@ class Wedge2(_Alternating):
     def __str__(self) -> str:
         return format_terms((f"{basis_label(i)}^{basis_label(j)}", c)
                             for (i, j), c in sorted(self.terms.items()))
-
-
-def wedge(u: HVec, v: HVec) -> Wedge2:
-    check_genus(u, v)
-    items = []
-    for i, a in enumerate(u.coords):
-        if a == 0:
-            continue
-        for j, b in enumerate(v.coords):
-            if b == 0:
-                continue
-            items.append(((i, j), a * b))
-    return Wedge2.make(u.genus, items)

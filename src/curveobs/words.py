@@ -325,18 +325,20 @@ def format_word(w: Word) -> str:
 
 
 # --- random generation -------------------------------------------------------
+# rng is a random.Random. The annotations leave it out: naming it would need
+# `random` loaded with this module, and `analyze` draws nothing.
 
-def random_letters(genus: int, length: int, rng: random.Random) -> list[int]:
+def random_letters(genus: int, length: int, rng) -> list[int]:
     """Uniform unreduced letter sequence; may reduce to something shorter."""
     n = 2 * genus
     return [rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(length)]
 
 
-def random_word_rng(genus: int, length: int, rng: random.Random) -> Word:
+def random_word_rng(genus: int, length: int, rng) -> Word:
     return Word.from_letters(genus, random_letters(genus, length, rng))
 
 
-def random_commutator_element_rng(genus: int, count: int, rng: random.Random) -> Word:
+def random_commutator_element_rng(genus: int, count: int, rng) -> Word:
     """Product of `count` commutators of random words; abelianizes to zero."""
     out = Word.identity(genus)
     for _ in range(count):

@@ -5,8 +5,8 @@ import pytest
 
 from curveobs.ell import ell, ell_of_letters, obstruction_vector
 from curveobs.homology import HVec, abelianize
-from curveobs.reference import act2, omega
-from curveobs.wedge import Wedge2, wedge
+from curveobs.reference import act2, omega, wedge
+from curveobs.wedge import Wedge2
 from curveobs.words import (Word, boundary_word, commutator, generator,
                             parse_word, random_word_rng)
 

@@ -1,4 +1,7 @@
 import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,36 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         curveobs.no_such_name
     assert set(curveobs.__all__) <= set(dir(curveobs))
+
+
+def functions_and_methods():
+    """Every function and method defined in the package's modules."""
+    modules = [curveobs] + [importlib.import_module(f"curveobs.{m.name}")
+                            for m in pkgutil.iter_modules(curveobs.__path__)]
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr in vars(obj).values():
+                    fn = attr.fget if isinstance(attr, property) else \
+                        getattr(attr, "__func__", attr)
+                    if inspect.isfunction(fn):
+                        yield fn
+            elif inspect.isfunction(obj):
+                yield obj
+
+
+def test_every_annotation_resolves():
+    # the undefined-name check (pyflakes F821) for annotations, which
+    # `from __future__ import annotations` leaves unevaluated until a
+    # caller asks for them
+    checked, unresolved = 0, []
+    for fn in functions_and_methods():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {exc}")
+        checked += 1
+    assert checked > 100
+    assert not unresolved, unresolved

@@ -13,8 +13,7 @@ from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
-from curveobs.reference import Wedge3, act3, embed2
-from curveobs.wedge import wedge
+from curveobs.reference import Wedge3, act3, embed2, wedge
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 

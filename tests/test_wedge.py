@@ -7,9 +7,9 @@ import pytest
 
 from curveobs.homology import HVec, intersection
 from curveobs.reference import (Wedge3, act2, act3, derive, embed2, embed3,
-                                omega, wedge3)
+                                omega, wedge, wedge3)
 from curveobs.tensor import TruncTensor
-from curveobs.wedge import Wedge2, wedge
+from curveobs.wedge import Wedge2
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 
