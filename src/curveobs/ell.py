@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .homology import HVec, basis_pairing, mate
-from .wedge import Wedge2
+from .wedge import Wedge2, check_indices
 from .words import Word, check_genus
 
 
@@ -55,6 +55,8 @@ def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
     of the inputs."""
     for x in (abs_b, ell_a, ell_b):
         check_genus(abs_a, x)
+    check_indices(ell_a)
+    check_indices(ell_b)
     d = lcm(*(c.denominator for x in (abs_a, abs_b) for c in x.coords),
             *(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
     out = [0] * (2 * abs_a.genus)

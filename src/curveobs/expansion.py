@@ -5,8 +5,9 @@ Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The twist
 exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `twist`
 reads the derivation of L(a) off |a| and ell(a), on ints, without building
-L(a). `reference.L_theta` and `reference.johnson_twist` are its defining
-forms.
+L(a), and takes only tensors at theta0's bound 2, as `twist_consistency`
+passes it. `reference.L_theta` and `reference.johnson_twist` are its defining
+forms, and `johnson_twist` takes any degree bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import factorial, lcm
 
 from .homology import HVec, basis_pairing, mate
 from .tensor import TruncTensor
-from .wedge import Wedge2
+from .wedge import Wedge2, check_indices
 from .words import check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
@@ -35,16 +36,13 @@ def _numerators(abs_w: HVec, ell_w: Wedge2):
     """|w| and ell(w) as ints: the nonzero (index, numerator) pairs of |w|
     over their least common denominator dh, and the (i, j, numerator) terms
     of ell(w) over theirs, de. Raises ValueError on a genus mismatch or an
-    ell index outside 0..2g-1, as the tensor constructors do."""
+    ell index outside 0..2g-1, as the tensor constructor does."""
     check_genus(abs_w, ell_w)
-    n = 2 * abs_w.genus
+    check_indices(ell_w)
     h, dh = _hvec_numerators(abs_w)
     de = lcm(*(c.denominator for c in ell_w.terms.values()))
-    e = []
-    for (i, j), c in ell_w.terms.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"basis index out of range in {(i, j)}")
-        e.append((i, j, c.numerator * (de // c.denominator)))
+    e = [(i, j, c.numerator * (de // c.denominator))
+         for (i, j), c in ell_w.terms.items()]
     return h, dh, e, de
 
 
@@ -66,15 +64,6 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
         nums[(i, j)] = get((i, j), 0) + q
         nums[(j, i)] = get((j, i), 0) - q
     return TruncTensor._make(abs_w.genus, 2, nums, den)
-
-
-def _cut(u: TruncTensor) -> TruncTensor:
-    """u cut to degree <= min(2, u.maxdeg), where the twist is exact:
-    derivation by L never lowers degree, so higher terms of u cannot reach
-    it."""
-    D = min(2, u.maxdeg)
-    return TruncTensor._make(
-        u.genus, D, {s: c for s, c in u.nums.items() if len(s) <= D}, u.den)
 
 
 def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
@@ -103,8 +92,10 @@ def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
 
 
 def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
-    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)) and u cut to degree <= 2,
-    as `reference.johnson_twist` computes it, without building L.
+    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)), as
+    `reference.johnson_twist` computes it, without building L. u is a tensor
+    at degree bound 2, such as the expansion `theta0` builds; any other
+    bound raises ValueError.
 
     The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
     to (y.x) times the terms of L that start with x, first factor dropped.
@@ -114,7 +105,8 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     fits only on degree-1 terms, and is built for the factors found there."""
     h, dh, e, de = _numerators(abs_a, ell_a)
     check_genus(abs_a, u)
-    u = _cut(u)
+    if u.maxdeg != 2:
+        raise ValueError(f"twist takes degree bound 2, not {u.maxdeg}")
     m = lcm(dh, de)
     mhh, mhe = m // dh, m // de
     den = dh * m
@@ -161,11 +153,10 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
                 y = s[0]
                 if y in c:
                     cz += c[y] * n
-                if u.maxdeg == 2:
-                    if y not in images2:
-                        images2[y] = degree2(y)
-                    for tail, q in images2[y]:
-                        out[tail] = get(tail, 0) + n * q
+                if y not in images2:
+                    images2[y] = degree2(y)
+                for tail, q in images2[y]:
+                    out[tail] = get(tail, 0) + n * q
             elif len(s) == 2:
                 i, j = s
                 if i in c:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .expansion import _MAX_EXP_ITER
 from .homology import HVec, basis_pairing, mate
 from .tensor import TruncTensor, _degree
-from .wedge import Wedge2, _Alternating
+from .wedge import Wedge2, _Alternating, check_indices
 from .words import check_genus
 
 
@@ -39,6 +39,7 @@ def wedge(u: HVec, v: HVec) -> Wedge2:
 def act2(w: Wedge2, z: HVec) -> HVec:
     """(X^Y)(Z) = (Z.X)Y - (Z.Y)X, extended bilinearly."""
     check_genus(w, z)
+    check_indices(w)
     out = [Fraction(0)] * (2 * w.genus)
     for (i, j), c in w.terms.items():
         out[j] += c * _pair_with_basis(z, i)
@@ -84,16 +85,16 @@ def omega(genus: int) -> Wedge2:
 
 def embed2(w: Wedge2, maxdeg: int = 3) -> TruncTensor:
     """X^Y -> XY - YX."""
-    return TruncTensor._from_rationals(w.genus, maxdeg, [
-        t for (i, j), c in w.terms.items() for t in (((i, j), c), ((j, i), -c))])
+    return TruncTensor(w.genus, maxdeg, {
+        **w.terms, **{(j, i): -c for (i, j), c in w.terms.items()}})
 
 
 def embed3(t: Wedge3) -> TruncTensor:
     """X^Y^Z -> XYZ + YZX + ZXY - XZY - ZYX - YXZ."""
-    return TruncTensor._from_rationals(t.genus, 3, [
-        (seq, sign * c) for (i, j, k), c in t.terms.items()
+    return TruncTensor(t.genus, 3, {
+        seq: sign * c for (i, j, k), c in t.terms.items()
         for seq, sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                          ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1))])
+                          ((i, k, j), -1), ((k, j, i), -1), ((j, i, k), -1))})
 
 
 def cyclic_N(u: TruncTensor) -> TruncTensor:

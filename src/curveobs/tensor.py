@@ -4,8 +4,9 @@ Elements are sparse maps from basis-index sequences (tuples over 0..2g-1) to
 exact rational coefficients, stored as int numerators over one shared positive
 denominator in lowest terms (gcd of the denominator and every numerator is 1),
 so every operation runs on ints. Fractions appear only where coefficients
-enter or leave: the constructors read their numerators and denominators,
-and `coeff` and the `terms` view build them.
+enter or leave: the one validating constructor, `TruncTensor(genus, maxdeg,
+{sequence: Fraction})`, reads their numerators and denominators, and `coeff`
+and `terms` (a new {sequence: Fraction} dict) build them.
 Every operation discards terms above the degree bound. Every stored
 coefficient is exact: a tensor whose higher coefficients are not known is built
 at a lower degree bound instead.
@@ -35,9 +36,21 @@ class TruncTensor:
 
     def __init__(self, genus: int, maxdeg: int = 3,
                  terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        t = TruncTensor._from_rationals(
-            genus, maxdeg, ((tuple(s), Fraction(c)) for s, c in (terms or {}).items()))
-        self.genus, self.maxdeg, self.nums, self.den = genus, maxdeg, t.nums, t.den
+        """The tensor of {sequence: rational} terms: checks maxdeg >= 1, cuts
+        longer terms, and rejects an index outside 0..2g-1."""
+        if maxdeg < 1:
+            raise ValueError("degree bound must be >= 1")
+        kept = {tuple(s): Fraction(c) for s, c in (terms or {}).items()
+                if len(s) <= maxdeg}
+        for s in kept:
+            if not all(0 <= i < 2 * genus for i in s):
+                raise ValueError(f"basis index out of range in {s}")
+        # den is an lcm of reduced denominators, so each prime of den leaves
+        # some term's numerator over den undivided: the form is canonical
+        den = lcm(*(c.denominator for c in kept.values()))
+        self.genus, self.maxdeg, self.den = genus, maxdeg, den
+        self.nums = {s: c.numerator * (den // c.denominator)
+                     for s, c in kept.items() if c}
 
     @classmethod
     def _make(cls, genus: int, maxdeg: int, nums: dict[tuple[int, ...], int],
@@ -53,31 +66,15 @@ class TruncTensor:
         t.genus, t.maxdeg, t.nums, t.den = genus, maxdeg, nums, den
         return t
 
-    @classmethod
-    def _from_rationals(cls, genus: int, maxdeg: int, items) -> "TruncTensor":
-        """The tensor of (sequence, rational) items from outside data, with
-        distinct sequences: checks maxdeg >= 1, cuts longer terms, and
-        rejects an index outside 0..2g-1."""
-        if maxdeg < 1:
-            raise ValueError("degree bound must be >= 1")
-        kept = [(s, c) for s, c in items if len(s) <= maxdeg]
-        for s, _ in kept:
-            if not all(0 <= i < 2 * genus for i in s):
-                raise ValueError(f"basis index out of range in {s}")
-        den = lcm(*(c.denominator for _, c in kept))
-        return cls._make(genus, maxdeg, {s: c.numerator * (den // c.denominator)
-                                         for s, c in kept}, den)
-
     # --- constructors --------------------------------------------------------
 
     @classmethod
     def one(cls, genus: int, maxdeg: int = 3) -> "TruncTensor":
-        return cls._from_rationals(genus, maxdeg, [((), 1)])
+        return cls(genus, maxdeg, {(): 1})
 
     @classmethod
     def from_hvec(cls, v: HVec, maxdeg: int = 3) -> "TruncTensor":
-        return cls._from_rationals(v.genus, maxdeg,
-                                   (((k,), c) for k, c in enumerate(v.coords)))
+        return cls(v.genus, maxdeg, {(k,): c for k, c in enumerate(v.coords)})
 
     # --- basics --------------------------------------------------------------
 
@@ -87,9 +84,9 @@ class TruncTensor:
             raise ValueError(f"degree-bound mismatch: {self.maxdeg} vs {other.maxdeg}")
 
     @property
-    def terms(self) -> "RationalTerms":
-        """The coefficients as Fractions, a read-only view."""
-        return RationalTerms(self)
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, by sequence, in a new dict."""
+        return {s: Fraction(c, self.den) for s, c in self.nums.items()}
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -146,22 +143,4 @@ class TruncTensor:
 
     def __repr__(self):
         return (f"TruncTensor(genus={self.genus}, maxdeg={self.maxdeg}, "
-                f"terms={dict(self.terms)!r})")
-
-
-class RationalTerms(Mapping):
-    """Read-only view of a tensor's coefficients as Fractions, by sequence;
-    each coefficient is converted when it is read."""
-    __slots__ = ("_t",)
-
-    def __init__(self, t: TruncTensor):
-        self._t = t
-
-    def __getitem__(self, seq) -> Fraction:
-        return Fraction(self._t.nums[seq], self._t.den)
-
-    def __iter__(self):
-        return iter(self._t.nums)
-
-    def __len__(self) -> int:
-        return len(self._t.nums)
+                f"terms={self.terms!r})")

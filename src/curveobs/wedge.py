@@ -73,3 +73,13 @@ class Wedge2(_Alternating):
     def __str__(self) -> str:
         return format_terms((f"{basis_label(i)}^{basis_label(j)}", c)
                             for (i, j), c in sorted(self.terms.items()))
+
+
+def check_indices(w: _Alternating):
+    """Raise ValueError if a term of w has a basis index outside 0..2g-1.
+    The functions that take a `Wedge2` as input run it; `make` does not, as
+    the `ell` fold builds only valid indices."""
+    n = 2 * w.genus
+    for key in w.terms:
+        if not all(0 <= i < n for i in key):
+            raise ValueError(f"basis index out of range in {key}")

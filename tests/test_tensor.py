@@ -457,6 +457,19 @@ class TestIntNumeratorsMatchFractionReference:
                            ref_johnson_twist(L.terms, u.terms, D)), (L, u)
 
     @pytest.mark.parametrize("g", range(1, 5))
+    def test_terms_is_a_new_fraction_dict(self, g):
+        rng = random.Random(240 + g)
+        for _ in range(100):
+            t = rational_tensor(g, rng, rng.randint(1, 3))
+            terms = t.terms
+            assert type(terms) is dict
+            assert terms == {s: Fraction(n, t.den) for s, n in t.nums.items()}
+            before = TruncTensor(g, t.maxdeg, terms)
+            terms.clear()
+            terms[(0,)] = Fraction(7, 5)
+            assert t == before, t
+
+    @pytest.mark.parametrize("g", range(1, 5))
     def test_canonical_form(self, g):
         rng = random.Random(230 + g)
         for _ in range(300):
@@ -625,17 +638,19 @@ class TestTwistOnDemand:
 
     @pytest.mark.parametrize("g", (1, 2, 5))
     def test_degree_bounds_1_and_3(self, g):
-        # u is cut to degree <= 2; at bound 1 only degree-1 tails fit
+        # twist takes only theta0's bound 2; the same terms put at bound 2
+        # keep the contract
         rng = random.Random(720 + g)
         for _ in range(40):
             h, e = sparse_hvec(g, rng), sparse_wedge2(g, rng)
             L = L_theta(h, e)
             for D in (1, 3):
                 u = rational_tensor(g, rng, D)
-                cut = TruncTensor(g, min(2, D), {s: c for s, c in u.terms.items()
-                                                  if len(s) <= 2})
-                got = twist(h, e, u)
-                assert is_canonical(got) and cut + got == johnson_twist(L, u), (h, e, u)
+                with pytest.raises(ValueError, match="degree bound"):
+                    twist(h, e, u)
+                u2 = TruncTensor(g, 2, u.terms)
+                got = twist(h, e, u2)
+                assert is_canonical(got) and u2 + got == johnson_twist(L, u2), (h, e, u)
 
     def test_keeps_the_builders_checks(self):
         u = TruncTensor.one(1, 2)
@@ -692,9 +707,9 @@ class TestRankOneDegreeOneAction:
 
     @pytest.mark.parametrize("g", GENERA)
     def test_twist_keeps_its_contract_at_every_degree_bound(self, g):
-        # the contract of TestTwistOnDemand at bounds 1, 2 and 3, on random
-        # rational data at every genus; where D^2(u) != 0 the exponential
-        # weights two powers
+        # the contract of TestTwistOnDemand at bound 2, and ValueError at
+        # bounds 1 and 3, on random rational data at every genus; where
+        # D^2(u) != 0 the exponential weights two powers
         rng = random.Random(780 + g)
         second_power = 0
         for _ in range(10):
@@ -703,10 +718,12 @@ class TestRankOneDegreeOneAction:
             for D in (1, 2, 3):
                 for u in (rational_tensor(g, rng, D),
                           theta0(rand_hvec(g, rng), sparse_wedge2(g, rng))):
-                    cut = TruncTensor(g, min(2, u.maxdeg),
-                                      {s: c for s, c in u.terms.items() if len(s) <= 2})
+                    if u.maxdeg != 2:
+                        with pytest.raises(ValueError, match="degree bound"):
+                            twist(h, e, u)
+                        continue
                     got = twist(h, e, u)
                     assert is_canonical(got), (h, e, u)
-                    assert cut + got == johnson_twist(L, u), (h, e, u)
-                    second_power += not derive(L, derive(L, cut)).is_zero()
+                    assert u + got == johnson_twist(L, u), (h, e, u)
+                    second_power += not derive(L, derive(L, u)).is_zero()
         assert second_power

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from curveobs.ell import obstruction_vector
+from curveobs.expansion import theta0, twist
 from curveobs.homology import HVec, intersection
 from curveobs.reference import (Wedge3, act2, act3, derive, embed2, embed3,
                                 omega, wedge, wedge3)
@@ -178,6 +180,25 @@ class TestEmbed:
             z = rand_hvec(g, rng)
             via_tensor = derive(embed3(t), TruncTensor.from_hvec(z)).degree_part(2)
             assert via_tensor == embed2(act3(t, z)).degree_part(2)
+
+
+class TestMalformedWedge2:
+    """`Wedge2.make` takes any index; every function that reads a Wedge2's
+    indices as basis positions rejects one outside 0..2g-1, where an index
+    past the end would raise IndexError and a negative one would wrap."""
+
+    BAD = (Wedge2.make(1, [((0, 5), 1)]), Wedge2.make(1, [((-1, 0), 1)]))
+
+    @pytest.mark.parametrize("w", BAD, ids=("past_end", "negative"))
+    def test_rejected_by_every_reader(self, w):
+        x1, zero = basis(1, X1), Wedge2.zero(1)
+        for call in (lambda: obstruction_vector(x1, w, x1, zero),
+                     lambda: obstruction_vector(x1, zero, x1, w),
+                     lambda: act2(w, x1),
+                     lambda: theta0(x1, w),
+                     lambda: twist(x1, w, TruncTensor.one(1, 2))):
+            with pytest.raises(ValueError, match="basis index out of range"):
+                call()
 
 
 # every way a record is copied: shallow, deep and each pickle protocol
