@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .homology import HVec, basis_pairing, mate
-from .wedge import Wedge2, check_indices
+from .wedge import Wedge2, _int_terms
 from .words import Word, check_genus
 
 
@@ -48,6 +48,20 @@ def ell(w: Word) -> Wedge2:
     return ell_of_letters(w.genus, w.letters)
 
 
+def _obstruction_numerators(za, ea, zb, eb) -> list[int]:
+    """The numerators of v = ell(a)(|b|) + ell(b)(|a|) from those of |a|, |b|
+    (coordinate lists za, zb) and ell(a), ell(b) ((i, j, n) terms ea, eb):
+    over d d' when the classes are over d and the ell terms over d'."""
+    out = [0] * len(za)
+    for e, z in ((ea, zb), (eb, za)):
+        # dz[i] = z . e_i; act2: (X_i^X_j)(z) = (z . e_i) X_j - (z . e_j) X_i
+        dz = [basis_pairing(mate(i), i) * z[mate(i)] for i in range(len(out))]
+        for i, j, n in e:
+            out[j] += n * dz[i]
+            out[i] -= n * dz[j]
+    return out
+
+
 def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
                        abs_b: HVec, ell_b: Wedge2) -> HVec:
     """v = ell(a) acting on |b| plus ell(b) acting on |a|: the sum of
@@ -55,17 +69,10 @@ def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
     of the inputs."""
     for x in (abs_b, ell_a, ell_b):
         check_genus(abs_a, x)
-    check_indices(ell_a)
-    check_indices(ell_b)
     d = lcm(*(c.denominator for x in (abs_a, abs_b) for c in x.coords),
             *(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
-    out = [0] * (2 * abs_a.genus)
-    for w, z in ((ell_a, abs_b), (ell_b, abs_a)):
-        # dz[i] = d (z . e_i); act2: (X_i^X_j)(z) = (z . e_i) X_j - (z . e_j) X_i
-        zn = [c.numerator * (d // c.denominator) for c in z.coords]
-        dz = [basis_pairing(mate(i), i) * zn[mate(i)] for i in range(len(out))]
-        for (i, j), c in w.terms.items():
-            n = c.numerator * (d // c.denominator)
-            out[j] += n * dz[i]
-            out[i] -= n * dz[j]
-    return HVec(abs_a.genus, tuple(Fraction(x, d * d) for x in out))
+    ea, eb = _int_terms(ell_a, d), _int_terms(ell_b, d)
+    za, zb = ([c.numerator * (d // c.denominator) for c in x.coords]
+              for x in (abs_a, abs_b))
+    return HVec(abs_a.genus, tuple(Fraction(x, d * d) for x in
+                                   _obstruction_numerators(za, ea, zb, eb)))

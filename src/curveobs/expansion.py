@@ -4,10 +4,14 @@ twist along a word applied to it, and the closed form it is compared with.
 Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The twist
 exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `twist`
-reads the derivation of L(a) off |a| and ell(a), on ints, without building
-L(a), and takes only tensors at theta0's bound 2, as `twist_consistency`
-passes it. `reference.L_theta` and `reference.johnson_twist` are its defining
-forms, and `johnson_twist` takes any degree bound.
+applies the derivation of L(a) in contraction form, read off |a| and ell(a)
+without building L(a), and takes only tensors at theta0's bound 2.
+`reference.L_theta` and `reference.johnson_twist` are its defining forms, and
+`johnson_twist` takes any degree bound.
+
+`theta0` and `twist` take rational |w| and ell(w) and read them into int
+cores, `_theta0` and `_twist`; `twist_consistency` calls the cores with the
+int datum it builds from the words, and `bracket` with v's numerators.
 """
 
 from __future__ import annotations
@@ -16,20 +20,12 @@ from math import factorial, lcm
 
 from .homology import HVec, basis_pairing, mate
 from .tensor import TruncTensor
-from .wedge import Wedge2, check_indices
+from .wedge import Wedge2, _int_terms
 from .words import check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
 # or raises degree and is nilpotent degreewise, so this bound is generous.
 _MAX_EXP_ITER = 64
-
-
-def _hvec_numerators(v: HVec):
-    """The nonzero (index, numerator) pairs of v over their least common
-    denominator, and that denominator."""
-    d = lcm(*(c.denominator for c in v.coords))
-    return [(i, c.numerator * (d // c.denominator))
-            for i, c in enumerate(v.coords) if c], d
 
 
 def _numerators(abs_w: HVec, ell_w: Wedge2):
@@ -38,19 +34,22 @@ def _numerators(abs_w: HVec, ell_w: Wedge2):
     of ell(w) over theirs, de. Raises ValueError on a genus mismatch or an
     ell index outside 0..2g-1, as the tensor constructor does."""
     check_genus(abs_w, ell_w)
-    check_indices(ell_w)
-    h, dh = _hvec_numerators(abs_w)
+    dh = lcm(*(c.denominator for c in abs_w.coords))
+    h = [(i, c.numerator * (dh // c.denominator))
+         for i, c in enumerate(abs_w.coords) if c]
     de = lcm(*(c.denominator for c in ell_w.terms.values()))
-    e = [(i, j, c.numerator * (de // c.denominator))
-         for (i, j), c in ell_w.terms.items()]
-    return h, dh, e, de
+    return h, dh, _int_terms(ell_w, de), de
 
 
 def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
     """Expansion of a word w through degree 2, where it is exact, from its
-    class h = |w| and ell(w): 1 + h + (embedded ell(w) + 1/2 h h), built in
-    one pass as int numerators over one denominator."""
-    h, dh, e, de = _numerators(abs_w, ell_w)
+    class h = |w| and ell(w): 1 + h + (embedded ell(w) + 1/2 h h)."""
+    return _theta0(abs_w.genus, *_numerators(abs_w, ell_w))
+
+
+def _theta0(genus: int, h, dh: int, e, de: int) -> TruncTensor:
+    """`theta0` on int data, as `_numerators` gives it: built in one pass as
+    int numerators over one denominator."""
     den = lcm(2 * dh * dh, de)
     mh, mhh, me = den // dh, den // (2 * dh * dh), den // de
     nums = {(): den}
@@ -63,7 +62,7 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
         q *= me
         nums[(i, j)] = get((i, j), 0) + q
         nums[(j, i)] = get((j, i), 0) - q
-    return TruncTensor._make(abs_w.genus, 2, nums, den)
+    return TruncTensor._make(genus, 2, nums, den)
 
 
 def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
@@ -95,81 +94,80 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     """exp(-L)(u) - u for L = L_theta(|a|, ell(a)), as
     `reference.johnson_twist` computes it, without building L. u is a tensor
     at degree bound 2, such as the expansion `theta0` builds; any other
-    bound raises ValueError.
-
-    The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
-    to (y.x) times the terms of L that start with x, first factor dropped.
-    From h h, its degree-1 part is rank one: X_y -> c_y h with c_y = (y.x) h_x,
-    so it sends a degree-1 part z to (c.z) h and a degree-2 part M to
-    h (c^T M) + (M c) h. From the six rotations of N(h e), its degree-2 part
-    fits only on degree-1 terms, and is built for the factors found there."""
+    bound raises ValueError."""
     h, dh, e, de = _numerators(abs_a, ell_a)
     check_genus(abs_a, u)
     if u.maxdeg != 2:
         raise ValueError(f"twist takes degree bound 2, not {u.maxdeg}")
+    return _twist(h, dh, e, de, u)
+
+
+def _twist(h, dh: int, e, de: int, u: TruncTensor) -> TruncTensor:
+    """`twist` on int data for |a| and ell(a), as `_numerators` gives it.
+
+    The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
+    to (y.x) times the terms of L that start with x, first factor dropped.
+    L is h h + N(h e) through degree 3, for e the embedded ell(a), and D is
+    applied in contraction form. On a degree-1 part z, with
+    sigma = z . h = sum_y z_y (y.x) h_x and w = ell(a)(z), the contraction
+    of ell(a) by z (as `reference.act2`), D(z) = sigma h + sigma e + w h - h w:
+    the rotation of h e with the factor of h first gives sigma e, and the two
+    with a factor of e first give w h - h w. On a degree-2 part M, only h h
+    fits: with c_y = (y.x) h_x, D(M) = h (c^T M) + (M c) h. On the degree-1
+    part, each application costs O(|ell(a)| + |w| |h|)."""
     m = lcm(dh, de)
     mhh, mhe = m // dh, m // de
     den = dh * m
-    hd = dict(h)
-    # c[y] h_j is the numerator of D(X_y) at X_j over den
-    c = {mate(i): basis_pairing(mate(i), i) * p * mhh for i, p in h}
+    # c[y] = (y.x) h_x, so sigma = sum_y c[y] z_y
+    c = {mate(i): basis_pairing(mate(i), i) * p for i, p in h}
     # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
     ends: dict[int, list[tuple[int, int]]] = {}
     for j, k, q in e:
         ends.setdefault(j, []).append((k, q))
         ends.setdefault(k, []).append((j, -q))
 
-    def degree2(y):
-        x = mate(y)
-        tails: dict[tuple[int, int], int] = {}
-        get = tails.get
-        # +-h_x q at (j, k), (k, j): the rotations that start with i = x
-        p = hd.get(x)
-        if p is not None:
-            for j, k, q in e:
-                r = p * q
-                tails[(j, k)] = get((j, k), 0) + r
-                tails[(k, j)] = get((k, j), 0) - r
-        # +-h_i q at (k, i), (i, k): those that start with j or k = x
-        for k, q in ends.get(x, ()):
-            for i, p in h:
-                r = p * q
-                tails[(k, i)] = get((k, i), 0) + r
-                tails[(i, k)] = get((i, k), 0) - r
-        sign = basis_pairing(y, x) * mhe
-        return [(t, sign * r) for t, r in tails.items() if r]
-
-    # degree2(y) for each factor y met so far
-    images2: dict[int, list[tuple[tuple[int, int], int]]] = {}
-
     def apply(t):
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        cz = 0
+        sigma = 0
+        w: dict[int, int] = {}
         cM: dict[int, int] = {}
         Mc: dict[int, int] = {}
         for s, n in t.items():
             if len(s) == 1:
                 y = s[0]
                 if y in c:
-                    cz += c[y] * n
-                if y not in images2:
-                    images2[y] = degree2(y)
-                for tail, q in images2[y]:
-                    out[tail] = get(tail, 0) + n * q
+                    sigma += c[y] * n
+                x = mate(y)
+                zx = basis_pairing(y, x) * n
+                for k, q in ends.get(x, ()):
+                    w[k] = w.get(k, 0) + zx * q
             elif len(s) == 2:
                 i, j = s
                 if i in c:
                     cM[j] = cM.get(j, 0) + c[i] * n
                 if j in c:
                     Mc[i] = Mc.get(i, 0) + n * c[j]
-        if cz:
+        if sigma:
             for j, p in h:
-                out[(j,)] = get((j,), 0) + cz * p
+                out[(j,)] = get((j,), 0) + sigma * mhh * p
+            for j, k, q in e:
+                r = sigma * mhe * q
+                out[(j, k)] = get((j, k), 0) + r
+                out[(k, j)] = get((k, j), 0) - r
+        for k, q in w.items():
+            if q:
+                q *= mhe
+                for j, p in h:
+                    r = q * p
+                    out[(k, j)] = get((k, j), 0) + r
+                    out[(j, k)] = get((j, k), 0) - r
         for j, q in cM.items():
+            q *= mhh
             for i, p in h:
                 out[(i, j)] = get((i, j), 0) + p * q
         for i, q in Mc.items():
+            q *= mhh
             for j, p in h:
                 out[(i, j)] = get((i, j), 0) + q * p
         return {s: n for s, n in out.items() if n}
@@ -177,17 +175,17 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     return _exp_change(u, den, apply)
 
 
-def bracket(u: HVec, v: HVec) -> TruncTensor:
-    """u v - v u at degree bound 2, in one int pass; the twist cross-check's
-    closed form."""
-    check_genus(u, v)
-    un, du = _hvec_numerators(u)
-    vn, dv = _hvec_numerators(v)
+def bracket(u: list[int], v: list[int], den: int) -> TruncTensor:
+    """u v - v u at degree bound 2, for int coordinate lists u and v over den
+    (genus len(u) / 2), in one int pass; the twist cross-check's closed
+    form."""
     nums: dict[tuple[int, ...], int] = {}
     get = nums.get
-    for i, p in un:
-        for j, q in vn:
-            r = p * q
-            nums[(i, j)] = get((i, j), 0) + r
-            nums[(j, i)] = get((j, i), 0) - r
-    return TruncTensor._make(u.genus, 2, nums, du * dv)
+    vn = [(j, q) for j, q in enumerate(v) if q]
+    for i, p in enumerate(u):
+        if p:
+            for j, q in vn:
+                r = p * q
+                nums[(i, j)] = get((i, j), 0) + r
+                nums[(j, i)] = get((j, i), 0) - r
+    return TruncTensor._make(len(u) // 2, 2, nums, den)

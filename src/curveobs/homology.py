@@ -99,20 +99,26 @@ class HVec(_Record):
                             for k, c in enumerate(self.coords) if c != 0)
 
 
-def abelianize(w: Word) -> HVec:
+def _letter_counts(w: Word) -> list[int]:
+    """|w| as ints: the exponent sum of each generator, by basis index."""
     counts = [0] * (2 * w.genus)
     for l in w.letters:
         counts[abs(l) - 1] += 1 if l > 0 else -1
-    return HVec(w.genus, tuple(Fraction(c) for c in counts))
+    return counts
+
+
+def abelianize(w: Word) -> HVec:
+    return HVec(w.genus, tuple(Fraction(c) for c in _letter_counts(w)))
+
+
+def _pairing(u, v):
+    """u . v for coordinate sequences u, v over X1, Y1, ..., Xg, Yg."""
+    return sum(u[k] * v[k + 1] - u[k + 1] * v[k] for k in range(0, len(u), 2))
 
 
 def intersection(u: HVec, v: HVec) -> Fraction:
     check_genus(u, v)
-    total = Fraction(0)
-    for j in range(u.genus):
-        xi, yi = 2 * j, 2 * j + 1
-        total += u.coords[xi] * v.coords[yi] - u.coords[yi] * v.coords[xi]
-    return total
+    return Fraction(_pairing(u.coords, v.coords))
 
 
 def is_integral(v: HVec) -> bool:

@@ -9,11 +9,12 @@ intersection, but membership never certifies zero intersection.
 from __future__ import annotations
 
 import json
+from math import lcm
 
-from .ell import ell, obstruction_vector
-from .homology import (HVec, LatticeWitness, abelianize, intersection,
-                       lattice_member)
-from .wedge import Wedge2
+from .ell import _obstruction_numerators, ell, obstruction_vector
+from .homology import (HVec, LatticeWitness, _letter_counts, _pairing,
+                       abelianize, intersection, lattice_member)
+from .wedge import Wedge2, _int_terms
 from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -121,18 +122,29 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
 def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     """Compare the degree-2 change of b's expansion under the twist along a
     (derivation-exponential path) against the closed form |a| ^ v, as the
-    commutator |a| v - v |a|. Both sides are built from analyze's report: the
-    expansion of b and the twist datum from its |b|, ell(b) and |a|, ell(a).
+    commutator |a| v - v |a|. Both sides come from one int datum, built
+    without a report: |a| and |b| from letter counts, ell(a) and ell(b) from
+    one `ell` call each, read as int numerators over one denominator, and v
+    from the int core of `obstruction_vector`. The twist applies the
+    derivation of L(a) in contraction form (see `expansion._twist`).
 
     Returns (equal, twisted side, closed-form side), the sides as degree-2
     `TruncTensor`s (the annotation leaves them out, as `analyze` loads no
     tensor code); expected always equal.
     """
     # the twist path loads on demand: analyze needs neither module
-    from .expansion import bracket, theta0, twist
-    rep = analyze(genus, a, b)
-    if rep.i_A != 0:
+    from .expansion import _theta0, _twist, bracket
+    if a.genus != genus or b.genus != genus:
+        raise ValueError("word genus does not match the requested genus")
+    za, zb = _letter_counts(a), _letter_counts(b)
+    if _pairing(za, zb):
         raise ValueError("twist cross-check requires algebraic intersection 0")
-    lhs = twist(rep.abs_a, rep.ell_a, theta0(rep.abs_b, rep.ell_b)).degree_part(2)
-    rhs = bracket(rep.abs_a, rep.v)
+    ell_a, ell_b = ell(a), ell(b)
+    d = lcm(*(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
+    ea, eb = _int_terms(ell_a, d), _int_terms(ell_b, d)
+    ha = [(i, p) for i, p in enumerate(za) if p]
+    hb = [(i, p) for i, p in enumerate(zb) if p]
+    lhs = _twist(ha, 1, ea, d, _theta0(genus, hb, 1, eb, d)).degree_part(2)
+    # |a|, |b| over 1 and ell over d: v over d
+    rhs = bracket(za, _obstruction_numerators(za, ea, zb, eb), d)
     return lhs == rhs, lhs, rhs

@@ -83,3 +83,11 @@ def check_indices(w: _Alternating):
     for key in w.terms:
         if not all(0 <= i < n for i in key):
             raise ValueError(f"basis index out of range in {key}")
+
+
+def _int_terms(w: Wedge2, d: int) -> list[tuple[int, int, int]]:
+    """The (i, j, numerator) terms of w over d, a multiple of every
+    coefficient's denominator, once `check_indices` passes."""
+    check_indices(w)
+    return [(i, j, c.numerator * (d // c.denominator))
+            for (i, j), c in w.terms.items()]

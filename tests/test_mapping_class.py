@@ -1,4 +1,5 @@
-"""Mapping-class moves, and the verdict's equivariance under them.
+"""Mapping-class moves, the verdict's equivariance under them, and a Dehn
+twist done on words against the twist cross-check.
 
 A move is an automorphism phi of the free group F_2g on x_1, y_1, ...,
 x_g, y_g that fixes the boundary word zeta = prod [x_j, y_j]; such an
@@ -36,8 +37,11 @@ import random
 
 import pytest
 
+from curveobs.ell import ell
 from curveobs.homology import HVec, abelianize, intersection
-from curveobs.obstruction import VERDICT_INCONCLUSIVE, VERDICT_THEOREM, analyze
+from curveobs.obstruction import (VERDICT_INCONCLUSIVE, VERDICT_THEOREM,
+                                  analyze, twist_consistency)
+from curveobs.reference import wedge
 from curveobs.words import (Word, boundary_word, random_word_rng,
                             reduce_letters)
 
@@ -84,14 +88,16 @@ def move_pairs(g):
     return pairs
 
 
-def random_mapping_class(g, rng):
-    """A product of 1-6 moves drawn uniformly, inverses included."""
-    moves = [m for pair in move_pairs(g) for m in pair]
-    phi = identity(g)
-    for _ in range(rng.randint(1, 6)):
-        m = rng.choice(moves)
+def random_mapping_class(g, rng, most=6):
+    """phi, a product of 1-`most` moves drawn uniformly, inverses included,
+    and phi^-1 composed from the moves' inverses in the opposite order."""
+    moves = [p for pair in move_pairs(g) for p in (pair, pair[::-1])]
+    phi = phi_inv = identity(g)
+    for _ in range(rng.randint(1, most)):
+        m, inv = rng.choice(moves)
         phi = tuple(apply(m, image) for image in phi)
-    return phi
+        phi_inv = tuple(apply(phi_inv, image) for image in inv)
+    return phi, phi_inv
 
 
 def image(phi, w):
@@ -165,7 +171,7 @@ class TestEquivariance:
         for _ in range(300):
             g = rng.randint(1, 4)
             a, b = crossing_free_pair(g, rng)
-            phi = random_mapping_class(g, rng)
+            phi, _ = random_mapping_class(g, rng)
             ok, verdict = equivariant(phi, a, b)
             assert ok, (phi, a, b)
             verdicts[verdict] += 1
@@ -178,7 +184,7 @@ class TestEquivariance:
         for _ in range(300):
             a, b = rng.choice(((1, 3), (1, 4), (1, 1)))
             g = rng.randint(1 if b == 1 else 2, 4)
-            phi = random_mapping_class(g, rng)
+            phi, _ = random_mapping_class(g, rng)
             rep = analyze(g, Word(g, apply(phi, (a,))), Word(g, apply(phi, (b,))))
             assert rep.verdict == VERDICT_INCONCLUSIVE, (phi, a, b)
 
@@ -191,3 +197,33 @@ class TestEquivariance:
             assert image(phi, boundary_word(g)) != boundary_word(g)
             broken += not equivariant(phi, *crossing_free_pair(g, rng))[0]
         assert broken > 0
+
+
+class TestWordLevelDehnTwist:
+    """The twist path against a Dehn twist done on words. For a = phi(x_1),
+    the Dehn twist along a is t_a = phi tau phi^-1, with tau: y_1 -> y_1 x_1
+    the local twist along x_1. For b with i_A = 0, ell(t_a(b)) - ell(b) is
+    the degree-2 change that `twist_consistency` compares with |a| ^ v: it
+    equals wedge(|a|, v), and the cross-check holds. At genus 2-4 with phi a
+    product of 1-5 moves and b of 1-8 letters, seed 11 draws a of at most 9
+    letters and t_a(b), freely reduced, of at most 72."""
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        done = moved = 0
+        while done < 300:
+            g = rng.randint(2, 4)
+            phi, phi_inv = random_mapping_class(g, rng, most=5)
+            tau = substitution(g, {2: (2, 1)})
+            t_a = tuple(apply(phi, apply(tau, image)) for image in phi_inv)
+            a = Word(g, apply(phi, (1,)))
+            b = random_word_rng(g, rng.randint(1, 8), rng)
+            if intersection(abelianize(a), abelianize(b)) != 0:
+                continue
+            v = analyze(g, a, b).v
+            twisted = ell(image(t_a, b)) - ell(b)
+            assert twisted == wedge(abelianize(a), v), (phi, b)
+            assert twist_consistency(g, a, b)[0], (phi, b)
+            moved += not twisted.is_zero()
+            done += 1
+        assert moved  # the twist changes ell on some pairs

@@ -8,12 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from curveobs.ell import obstruction_vector
+from curveobs.ell import ell, obstruction_vector
+from curveobs.expansion import theta0
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
-from curveobs.reference import Wedge3, act3, embed2, wedge
+from curveobs.reference import (L_theta, Wedge3, act3, embed2, johnson_twist,
+                                wedge)
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 
@@ -230,6 +232,31 @@ class TestTwistConsistency:
     def test_requires_zero_algebraic_intersection(self):
         with pytest.raises(ValueError):
             twist_consistency(1, parse_word("x1", 1), parse_word("y1", 1))
+
+    def test_rejects_a_word_of_another_genus(self):
+        # a, then b, of genus 1 where genus 2 is requested
+        w1, w2 = parse_word("x1 y1", 1), parse_word("x1 x2", 2)
+        for a, b in ((w1, w2), (w2, w1)):
+            with pytest.raises(ValueError, match="word genus"):
+                twist_consistency(2, a, b)
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_int_datum_matches_the_reference_twist(self, g):
+        # the twisted side, built from letter counts and int ell numerators,
+        # against the defining forms built from the Fraction classes
+        rng = random.Random(900 + g)
+        done = 0
+        while done < 10:
+            a = random_word_rng(g, rng.randint(1, 8), rng)
+            b = random_word_rng(g, rng.randint(0, 8), rng)
+            abs_a, abs_b = abelianize(a), abelianize(b)
+            if intersection(abs_a, abs_b) != 0:
+                continue
+            u = theta0(abs_b, ell(b))
+            want = (johnson_twist(L_theta(abs_a, ell(a)), u).degree_part(2)
+                    - u.degree_part(2))
+            assert twist_consistency(g, a, b)[1] == want, (a, b)
+            done += 1
 
     def test_evaluates_ell_once_per_word(self, monkeypatch):
         # the expansion and the twist datum are built from the report's ell

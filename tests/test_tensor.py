@@ -9,8 +9,8 @@ from curveobs.expansion import theta0, twist
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze, twist_consistency
-from curveobs.reference import (L_theta, cyclic_N, derive, embed2, embed3,
-                                johnson_twist, omega, wedge, wedge3)
+from curveobs.reference import (L_theta, act2, cyclic_N, derive, embed2,
+                                embed3, johnson_twist, omega, wedge, wedge3)
 from curveobs.tensor import TruncTensor
 from curveobs.wedge import Wedge2
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
@@ -675,7 +675,9 @@ def rank_one_coefficients(h):
 class TestRankOneDegreeOneAction:
     """L's degree-2 part is h h, so the degree-1 part of its derivation is
     X_y -> c_y h, and on a degree-2 part M the derivation is
-    h (c^T M) + (M c) h. `twist` applies it in that form."""
+    h (c^T M) + (M c) h. Its degree-3 part N(h e) sends a degree-1 z to
+    sigma e + w h - h w in degree 2, with sigma = c.z and w = e(z), the
+    contraction of e by z. `twist` applies it in those forms."""
 
     @pytest.mark.parametrize("g", GENERA)
     def test_degree_one_tails_are_multiples_of_h(self, g):
@@ -704,6 +706,21 @@ class TestRankOneDegreeOneAction:
                                    Fraction(0)) for i in range(n)))
             th, tcM, tMc = (TruncTensor.from_hvec(x, 2) for x in (h, cM, Mc))
             assert derive(L_theta(h, e), M) == th * tcM + tMc * th, (h, e, M)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_degree_one_contraction_form(self, g):
+        rng = random.Random(770 + g)
+        fired = 0
+        for _ in range(10):
+            h, e, z = rand_hvec(g, rng), sparse_wedge2(g, rng), rand_hvec(g, rng)
+            c = rank_one_coefficients(h).coords
+            sigma = sum((cy * zy for cy, zy in zip(c, z.coords)), Fraction(0))
+            th, tw = TruncTensor.from_hvec(h, 2), TruncTensor.from_hvec(act2(e, z), 2)
+            got = derive(L_theta(h, e), TruncTensor.from_hvec(z, 2)).degree_part(2)
+            want = embed2(e, 2).scale(sigma) + (tw * th - th * tw)
+            assert got == want, (h, e, z)
+            fired += sigma != 0
+        assert fired  # the sigma e term is exercised
 
     @pytest.mark.parametrize("g", GENERA)
     def test_twist_keeps_its_contract_at_every_degree_bound(self, g):
