@@ -602,15 +602,15 @@ class TestTwistFastPaths:
             checked += 1
 
 
-# --- the on-demand twist against the materialised L -------------------------
+# --- the twist without L against the materialised L -------------------------
 
 def rational_1_to_6(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
 class TestTwistOnDemand:
-    """`twist` builds the derivation's images from |a| and ell(a) as factors
-    occur; `johnson_twist(L_theta(...), u)` builds all of L first."""
+    """`twist` applies the derivation of L in contraction form, read off |a|
+    and ell(a); `johnson_twist(L_theta(...), u)` builds all of L first."""
 
     @pytest.mark.parametrize("g", GENERA)
     def test_matches_the_materialised_twist(self, g):
