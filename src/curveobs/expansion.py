@@ -10,8 +10,9 @@ without building L(a), and takes only tensors at theta0's bound 2.
 `johnson_twist` takes any degree bound.
 
 `theta0` and `twist` take rational |w| and ell(w) and read them into int
-cores, `_theta0` and `_twist`; `twist_consistency` calls the cores with the
-int datum it builds from the words, and `bracket` with v's numerators.
+cores, `_theta0` and `_twist`, as numerators over one denominator d;
+`twist_consistency` calls the cores with the int datum it builds from the
+words, and `bracket` with v's numerators.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ _MAX_EXP_ITER = 64
 
 
 def _numerators(abs_w: HVec, ell_w: Wedge2):
-    """|w| and ell(w) as ints: the nonzero (index, numerator) pairs of |w|
-    over their least common denominator dh, and the (i, j, numerator) terms
-    of ell(w) over theirs, de. Raises ValueError on a genus mismatch or an
-    ell index outside 0..2g-1, as the tensor constructor does."""
+    """|w| and ell(w) as ints over one denominator d, the least common
+    denominator of all their coefficients: the nonzero (index, numerator)
+    pairs of |w| and the (i, j, numerator) terms of ell(w). Raises
+    ValueError on a genus mismatch or an ell index outside 0..2g-1, as the
+    tensor constructor does."""
     check_genus(abs_w, ell_w)
-    dh = lcm(*(c.denominator for c in abs_w.coords))
-    h = [(i, c.numerator * (dh // c.denominator))
+    d = lcm(*(c.denominator for c in abs_w.coords),
+            *(c.denominator for c in ell_w.terms.values()))
+    h = [(i, c.numerator * (d // c.denominator))
          for i, c in enumerate(abs_w.coords) if c]
-    de = lcm(*(c.denominator for c in ell_w.terms.values()))
-    return h, dh, _int_terms(ell_w, de), de
+    return h, _int_terms(ell_w, d), d
 
 
 def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
@@ -47,22 +49,21 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
     return _theta0(abs_w.genus, *_numerators(abs_w, ell_w))
 
 
-def _theta0(genus: int, h, dh: int, e, de: int) -> TruncTensor:
-    """`theta0` on int data, as `_numerators` gives it: built in one pass as
-    int numerators over one denominator."""
-    den = lcm(2 * dh * dh, de)
-    mh, mhh, me = den // dh, den // (2 * dh * dh), den // de
-    nums = {(): den}
+def _theta0(genus: int, h, e, d: int) -> TruncTensor:
+    """`theta0` on int data, as `_numerators` gives it: |w| and ell(w) as
+    numerators over d, built in one pass as int numerators over 2 d d."""
+    d2 = 2 * d
+    nums = {(): d2 * d}
     for i, p in h:
-        nums[(i,)] = p * mh
+        nums[(i,)] = p * d2
         for j, q in h:
-            nums[(i, j)] = p * q * mhh
+            nums[(i, j)] = p * q
     get = nums.get
     for i, j, q in e:
-        q *= me
+        q *= d2
         nums[(i, j)] = get((i, j), 0) + q
         nums[(j, i)] = get((j, i), 0) - q
-    return TruncTensor._make(genus, 2, nums, den)
+    return TruncTensor._make(genus, 2, nums, d2 * d)
 
 
 def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
@@ -95,15 +96,16 @@ def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
     `reference.johnson_twist` computes it, without building L. u is a tensor
     at degree bound 2, such as the expansion `theta0` builds; any other
     bound raises ValueError."""
-    h, dh, e, de = _numerators(abs_a, ell_a)
+    h, e, d = _numerators(abs_a, ell_a)
     check_genus(abs_a, u)
     if u.maxdeg != 2:
         raise ValueError(f"twist takes degree bound 2, not {u.maxdeg}")
-    return _twist(h, dh, e, de, u)
+    return _twist(h, e, d, u)
 
 
-def _twist(h, dh: int, e, de: int, u: TruncTensor) -> TruncTensor:
-    """`twist` on int data for |a| and ell(a), as `_numerators` gives it.
+def _twist(h, e, d: int, u: TruncTensor) -> TruncTensor:
+    """`twist` on int data for |a| and ell(a), as `_numerators` gives it:
+    numerators over one d.
 
     The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
     to (y.x) times the terms of L that start with x, first factor dropped.
@@ -114,10 +116,9 @@ def _twist(h, dh: int, e, de: int, u: TruncTensor) -> TruncTensor:
     the rotation of h e with the factor of h first gives sigma e, and the two
     with a factor of e first give w h - h w. On a degree-2 part M, only h h
     fits: with c_y = (y.x) h_x, D(M) = h (c^T M) + (M c) h. On the degree-1
-    part, each application costs O(|ell(a)| + |w| |h|)."""
-    m = lcm(dh, de)
-    mhh, mhe = m // dh, m // de
-    den = dh * m
+    part, each application costs O(|ell(a)| + |w| |h|). Each term of D(t)
+    is a numerator of t times two of h and e, so one application puts t's
+    numerators over d d more."""
     # c[y] = (y.x) h_x, so sigma = sum_y c[y] z_y
     c = {mate(i): basis_pairing(mate(i), i) * p for i, p in h}
     # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
@@ -150,29 +151,26 @@ def _twist(h, dh: int, e, de: int, u: TruncTensor) -> TruncTensor:
                     Mc[i] = Mc.get(i, 0) + n * c[j]
         if sigma:
             for j, p in h:
-                out[(j,)] = get((j,), 0) + sigma * mhh * p
+                out[(j,)] = get((j,), 0) + sigma * p
             for j, k, q in e:
-                r = sigma * mhe * q
+                r = sigma * q
                 out[(j, k)] = get((j, k), 0) + r
                 out[(k, j)] = get((k, j), 0) - r
         for k, q in w.items():
             if q:
-                q *= mhe
                 for j, p in h:
                     r = q * p
                     out[(k, j)] = get((k, j), 0) + r
                     out[(j, k)] = get((j, k), 0) - r
         for j, q in cM.items():
-            q *= mhh
             for i, p in h:
                 out[(i, j)] = get((i, j), 0) + p * q
         for i, q in Mc.items():
-            q *= mhh
             for j, p in h:
                 out[(i, j)] = get((i, j), 0) + q * p
         return {s: n for s, n in out.items() if n}
 
-    return _exp_change(u, den, apply)
+    return _exp_change(u, d * d, apply)
 
 
 def bracket(u: list[int], v: list[int], den: int) -> TruncTensor:

@@ -92,8 +92,6 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
     abs_a = abelianize(a)
     abs_b = abelianize(b)
     i_a = intersection(abs_a, abs_b)
-    if i_a.denominator != 1:
-        raise AssertionError(f"algebraic intersection {i_a} is not an integer")
     ell_a = ell(a)
     ell_b = ell(b)
     if i_a != 0:
@@ -142,9 +140,10 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     ell_a, ell_b = ell(a), ell(b)
     d = lcm(*(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
     ea, eb = _int_terms(ell_a, d), _int_terms(ell_b, d)
-    ha = [(i, p) for i, p in enumerate(za) if p]
-    hb = [(i, p) for i, p in enumerate(zb) if p]
-    lhs = _twist(ha, 1, ea, d, _theta0(genus, hb, 1, eb, d)).degree_part(2)
+    # the cores take |a| and |b| over ell's denominator d too
+    ha = [(i, p * d) for i, p in enumerate(za) if p]
+    hb = [(i, p * d) for i, p in enumerate(zb) if p]
+    lhs = _twist(ha, ea, d, _theta0(genus, hb, eb, d)).degree_part(2)
     # |a|, |b| over 1 and ell over d: v over d
     rhs = bracket(za, _obstruction_numerators(za, ea, zb, eb), d)
     return lhs == rhs, lhs, rhs

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import curveobs
-from curveobs import selftest
+from curveobs import cli, selftest, twist_consistency
 from curveobs.cli import _build_parser, main
 from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
 
@@ -157,6 +157,21 @@ class TestAnalyze:
     def test_missing_words(self, capsys):
         code, _, err = run(capsys, "analyze", "--genus", "2")
         assert code == 1
+
+    def test_missing_genus(self, capsys):
+        code, out, err = run(capsys, "analyze", "--a", "x1", "--b", "x2")
+        assert code == 1 and out == ""
+        assert err == "error: analyze needs --genus\n"
+
+    def test_internal_error_exits_2(self, capsys, monkeypatch):
+        def broken(genus, a, b):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        code, out, err = run(capsys, "analyze", "--genus", "1",
+                             "--a", "x1", "--b", "y1")
+        assert code == 2 and out == ""
+        assert err == "internal error: invariant broken\n"
 
 
 class TestUsageErrors:
@@ -322,6 +337,26 @@ class TestTwistCheck:
                            "--a", "x1", "--b", "x2", "--format", "json")
         assert code == 0
         assert json.loads(out)["consistent"] is True
+
+    def test_inconsistent_pair_exits_2(self, capsys, monkeypatch):
+        # both sides are printed when the identity fails
+        sides = []
+
+        def inconsistent(genus, a, b):
+            ok, lhs, rhs = twist_consistency(genus, a, b)
+            sides.extend((lhs, rhs))
+            return False, lhs, rhs
+
+        monkeypatch.setattr(cli, "twist_consistency", inconsistent)
+        code, out, _ = run(capsys, "twist-check", "--genus", "2",
+                           "--a", "x1 x2 y2 x2^-1", "--b", "y2 x1^-1")
+        assert code == 2
+        lhs, rhs = sides
+        assert out.splitlines() == [
+            "twist identity holds: False",
+            f"derivation-exponential side: {lhs!r}",
+            f"closed-form side:            {rhs!r}",
+        ]
 
     def test_nonzero_intersection_rejected(self, capsys):
         code, _, err = run(capsys, "twist-check", "--genus", "1",

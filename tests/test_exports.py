@@ -26,16 +26,17 @@ def test_version_has_one_home():
         "attr": "curveobs.__version__"}
 
 
-def test_lazy_names_are_looked_up_afresh(monkeypatch):
-    # a caller that patches the defining module (a tracer, say) is seen
-    # through the package: the package keeps no copy of a lazy name
-    expansion = importlib.import_module("curveobs.expansion")
-    reference = importlib.import_module("curveobs.reference")
-    assert curveobs.theta0 is expansion.theta0
-    monkeypatch.setattr(expansion, "theta0", len)
-    monkeypatch.setattr(reference, "act2", abs)
-    assert curveobs.theta0 is len and curveobs.act2 is abs
-    assert "theta0" not in vars(curveobs) and "act2" not in vars(curveobs)
+def test_no_exported_name_is_a_module():
+    # a submodule shares its package's namespace: `curveobs.wedge` is the
+    # module, not the reference function of that name
+    modules = [name for name in curveobs.__all__
+               if inspect.ismodule(getattr(curveobs, name))]
+    assert not modules, modules
+    namespace = {}
+    exec("from curveobs import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, obj in namespace.items()
+                if inspect.ismodule(obj)]
 
 
 def test_unknown_name_is_an_attribute_error():

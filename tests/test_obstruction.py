@@ -259,7 +259,7 @@ class TestTwistConsistency:
             done += 1
 
     def test_evaluates_ell_once_per_word(self, monkeypatch):
-        # the expansion and the twist datum are built from the report's ell
+        # both sides are built from one ell call per word
         # (the package exports the function ell, which hides the module)
         ell_module = importlib.import_module("curveobs.ell")
         fold = ell_module.ell_of_letters

@@ -63,6 +63,16 @@ class TestParse:
         with pytest.raises(WordError):
             parse_word(bad, 2)
 
+    @pytest.mark.parametrize("text,genus,message", [
+        ("[x1 x2]", 2, "expected ',' inside commutator bracket"),
+        ("2", 1, "unexpected token '2'"),
+        ("^2", 1, "unexpected token '^'"),
+    ])
+    def test_error_messages(self, text, genus, message):
+        with pytest.raises(WordError) as exc:
+            parse_word(text, genus)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("token,shown", [
         ("x0", "'x0'"), ("y000", "'y000'"), ("x3", "'x3'"), ("y1001", "'y1001'"),
         ("x10000", "'x10000'"),
@@ -139,6 +149,11 @@ class TestGroupOps:
         assert commutator(x1, y1) == parse_word("x1 y1 x1^-1 y1^-1", 1)
         w = parse_word("x1 y1", 1)
         assert commutator(w, w) == Word.identity(1)
+
+    def test_generator_index_out_of_range(self):
+        with pytest.raises(WordError) as exc:
+            generator(1, "x", 2)
+        assert str(exc.value) == "generator index 2 out of range for genus 1"
 
     def test_genus_mismatch(self):
         with pytest.raises(WordError):
