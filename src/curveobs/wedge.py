@@ -38,7 +38,11 @@ class _Alternating(_Record):
 
     @classmethod
     def make(cls, genus: int, items):
-        return cls(genus, _normalize((k, Fraction(c)) for k, c in items))
+        """Build from (index tuple, coeff) items. Every stored coefficient is
+        a `Fraction`; one that already is one is kept as it is, since
+        `Fraction(c)` would rebuild it through a `numbers.Rational` check."""
+        return cls(genus, _normalize(
+            (k, c if type(c) is Fraction else Fraction(c)) for k, c in items))
 
     @classmethod
     def zero(cls, genus: int):

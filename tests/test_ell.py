@@ -91,6 +91,23 @@ class TestIdentities:
             assert acted == ac.scale(ratio)
 
 
+class TestCoefficientsAreFractions:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_reduced_and_unreduced_words(self, g):
+        # the fold's ±1/2 terms are Fractions and its running sum is kept as
+        # it is; nothing may leave an int among ell's coefficients
+        rng = random.Random(700 + g)
+        for _ in range(40):
+            w = random_word_rng(g, rng.randint(0, 30), rng)
+            seq = [rng.choice([1, -1]) * rng.randrange(1, 2 * g + 1)
+                   for _ in range(rng.randint(0, 30))]
+            # then undo a suffix, so the prefix class returns to earlier values
+            k = rng.randint(0, len(seq))
+            seq += [-l for l in reversed(seq[len(seq) - k:])]
+            for x in (ell(w), ell_of_letters(g, seq)):
+                assert all(type(c) is Fraction for c in x.terms.values()), x
+
+
 def v_of(a, b):
     return obstruction_vector(abelianize(a), ell(a), abelianize(b), ell(b))
 

@@ -78,6 +78,24 @@ class TestAnalyze:
         assert data["lattice"] == {"member": False, "m": None, "n": None}
         assert {"basis": "X1^Y1", "coeff": "1/2"} in data["ell"]["a"]
 
+    @pytest.mark.parametrize("a, b", [("x1 x2 y2 x2^-1", "y2 x1^-1"),
+                                      ("x1", "y1")], ids=("i_A=0", "i_A=1"))
+    def test_evaluates_ell_once_per_word(self, monkeypatch, a, b):
+        # one fold per word on both branches; the report's ell is that fold
+        ell_module = importlib.import_module("curveobs.ell")
+        fold = ell_module.ell_of_letters
+        calls = []
+
+        def counted(genus, letters):
+            calls.append(letters)
+            return fold(genus, letters)
+
+        monkeypatch.setattr(ell_module, "ell_of_letters", counted)
+        a, b = parse_word(a, 2), parse_word(b, 2)
+        rep = analyze(2, a, b)
+        assert calls == [a.letters, b.letters]
+        assert (rep.ell_a, rep.ell_b) == (fold(2, a.letters), fold(2, b.letters))
+
     def test_json_roundtrip_reanalyze(self):
         rng = random.Random(0)
         for _ in range(50):

@@ -201,6 +201,29 @@ class TestMalformedWedge2:
                 call()
 
 
+class TestMakeCoercion:
+    """`make` stores every coefficient as a `Fraction`: it coerces an int or a
+    bool and keeps a `Fraction` as it is. The report bytes cannot tell a
+    leaked int, as str(1) == str(Fraction(1))."""
+
+    def test_int_bool_and_fraction_are_stored_as_fractions(self):
+        half = Fraction(1, 2)
+        w = Wedge2.make(2, [((0, 1), 3), ((2, 3), True), ((0, 2), half),
+                            ((1, 3), False), ((3, 1), 2), ((1, 2), -1),
+                            ((2, 1), 1)])
+        assert w.terms == {(0, 1): 3, (2, 3): 1, (0, 2): half, (1, 3): -2,
+                           (1, 2): -2}
+        assert all(type(c) is Fraction for c in w.terms.values())
+        assert w.terms[(0, 2)] is half
+
+    def test_arithmetic_keeps_fractions(self):
+        w = Wedge2.make(2, [((0, 1), 1), ((2, 3), 2)])
+        for x in (w + w, w - w.scale(2), -w, w.scale(3), w.scale(True),
+                  Wedge3.make(2, [((2, 0, 1), 1), ((0, 1, 2), True)])):
+            assert x.terms and all(type(c) is Fraction
+                                   for c in x.terms.values()), x
+
+
 # every way a record is copied: shallow, deep and each pickle protocol
 COPIES = [copy.copy, copy.deepcopy] + [
     (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
