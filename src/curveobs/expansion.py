@@ -3,55 +3,33 @@ twist along a word applied to it, and the closed form it is compared with.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The twist
-exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `twist`
+exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `_twist`
 applies the derivation of L(a) in contraction form, read off |a| and ell(a)
-without building L(a), and takes only tensors at theta0's bound 2.
-`reference.L_theta` and `reference.johnson_twist` are its defining forms, and
-`johnson_twist` takes any degree bound.
+without building L(a), to a tensor at theta0's bound 2. `reference.theta0`,
+`reference.L_theta` and `reference.johnson_twist` are their defining forms
+on Fractions, and `johnson_twist` takes any degree bound.
 
-`theta0` and `twist` take rational |w| and ell(w) and read them into int
-cores, `_theta0` and `_twist`, as numerators over one denominator d;
-`twist_consistency` calls the cores with the int datum it builds from the
-words, and `bracket` with v's numerators.
+`twist_consistency` calls `_theta0` and `_twist` with the int datum it
+builds from the words, and `bracket` with v's numerators.
 """
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import factorial
 
-from .homology import HVec, basis_pairing, mate
+from .homology import basis_pairing, mate
 from .tensor import TruncTensor
-from .wedge import Wedge2, _int_terms
-from .words import check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
 # or raises degree and is nilpotent degreewise, so this bound is generous.
 _MAX_EXP_ITER = 64
 
 
-def _numerators(abs_w: HVec, ell_w: Wedge2):
-    """|w| and ell(w) as ints over one denominator d, the least common
-    denominator of all their coefficients: the nonzero (index, numerator)
-    pairs of |w| and the (i, j, numerator) terms of ell(w). Raises
-    ValueError on a genus mismatch or an ell index outside 0..2g-1, as the
-    tensor constructor does."""
-    check_genus(abs_w, ell_w)
-    d = lcm(*(c.denominator for c in abs_w.coords),
-            *(c.denominator for c in ell_w.terms.values()))
-    h = [(i, c.numerator * (d // c.denominator))
-         for i, c in enumerate(abs_w.coords) if c]
-    return h, _int_terms(ell_w, d), d
-
-
-def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
-    """Expansion of a word w through degree 2, where it is exact, from its
-    class h = |w| and ell(w): 1 + h + (embedded ell(w) + 1/2 h h)."""
-    return _theta0(abs_w.genus, *_numerators(abs_w, ell_w))
-
-
 def _theta0(genus: int, h, e, d: int) -> TruncTensor:
-    """`theta0` on int data, as `_numerators` gives it: |w| and ell(w) as
-    numerators over d, built in one pass as int numerators over 2 d d."""
+    """1 + h + (embedded ell(w) + 1/2 h h), as `reference.theta0`, on ints
+    over one d > 0: h = |w| as (index, numerator) pairs on distinct indices,
+    e = ell(w) as (i, j, numerator) terms of X_i^X_j, in any order, summed
+    where repeated. Built in one pass as int numerators over 2 d d."""
     d2 = 2 * d
     nums = {(): d2 * d}
     for i, p in h:
@@ -91,21 +69,11 @@ def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
                              u.den * den ** K * factorial(K))
 
 
-def twist(abs_a: HVec, ell_a: Wedge2, u: TruncTensor) -> TruncTensor:
-    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)), as
-    `reference.johnson_twist` computes it, without building L. u is a tensor
-    at degree bound 2, such as the expansion `theta0` builds; any other
-    bound raises ValueError."""
-    h, e, d = _numerators(abs_a, ell_a)
-    check_genus(abs_a, u)
-    if u.maxdeg != 2:
-        raise ValueError(f"twist takes degree bound 2, not {u.maxdeg}")
-    return _twist(h, e, d, u)
-
-
 def _twist(h, e, d: int, u: TruncTensor) -> TruncTensor:
-    """`twist` on int data for |a| and ell(a), as `_numerators` gives it:
-    numerators over one d.
+    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)), as
+    `reference.johnson_twist` computes it, without building L. h and e are
+    |a| and ell(a) over d, in the form `_theta0` takes; u is a tensor at
+    degree bound 2, such as the expansion `_theta0` builds.
 
     The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
     to (y.x) times the terms of L that start with x, first factor dropped.

@@ -21,7 +21,7 @@ VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# the expansion `expansion.theta0` builds, named in every report
+# the expansion `_theta0` builds (`reference.theta0`), named in every report
 EXPANSION_NAME = "theta0"
 
 DISCLAIMER = (

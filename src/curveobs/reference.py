@@ -3,9 +3,10 @@ the production path against. No subcommand but `selftest` loads this module.
 
 `wedge` and degree-3 exterior elements, the actions of degree 2 and 3 on
 homology, the symplectic form, the embeddings of exterior elements as
-tensors, the cyclic and derivation operators on tensors, and the twist
-derivation `L_theta` with the twist automorphism `johnson_twist`, each in its
-defining form. `expansion.twist` computes the twist without building L.
+tensors, the cyclic and derivation operators on tensors, the expansion
+`theta0`, and the twist derivation `L_theta` with the twist automorphism
+`johnson_twist`, each in its defining form. `expansion` builds theta0 and
+the twist as int numerators, the twist without building L.
 """
 
 from __future__ import annotations
@@ -139,6 +140,14 @@ def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
                 t = s[:p] + tail + s[p + 1:]
                 out[t] = out.get(t, 0) + c * hc
     return TruncTensor._make(u.genus, D, out, h.den * u.den)
+
+
+def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
+    """Expansion of a word w through degree 2, where it is exact, from its
+    class h = |w| and ell(w): 1 + h + embedded ell(w) + (1/2) h h."""
+    h = TruncTensor.from_hvec(abs_w, 2)
+    return (TruncTensor.one(abs_w.genus, 2) + h + embed2(ell_w, 2)
+            + (h * h).scale(Fraction(1, 2)))
 
 
 def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:

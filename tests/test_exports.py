@@ -1,12 +1,16 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
 from pathlib import Path
 
 import pytest
 
 import curveobs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_resolve():
@@ -19,7 +23,7 @@ def test_version_has_one_home():
     # pyproject.toml reads the version from the package instead of repeating it
     tomllib = pytest.importorskip("tomllib")
     conf = tomllib.loads(
-        (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+        (ROOT / "pyproject.toml").read_text())
     assert "version" not in conf["project"]
     assert "version" in conf["project"]["dynamic"]
     assert conf["tool"]["setuptools"]["dynamic"]["version"] == {
@@ -76,3 +80,22 @@ def test_every_annotation_resolves():
         checked += 1
     assert checked > 100
     assert not unresolved, unresolved
+
+
+def readme_imports():
+    """Every `from curveobs... import ...` statement in the README's Python
+    code blocks, numbered by its README line."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S):
+        for node in ast.parse(block[1]).body:
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module.split(".")[0] == "curveobs"):
+                yield ast.increment_lineno(
+                    node, text.count("\n", 0, block.start(1)))
+
+
+def test_readme_imports_resolve():
+    nodes = list(readme_imports())
+    assert {"curveobs", "curveobs.reference"} <= {n.module for n in nodes}
+    for node in nodes:
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), {})

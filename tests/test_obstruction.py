@@ -9,13 +9,12 @@ from itertools import combinations
 import pytest
 
 from curveobs.ell import ell, obstruction_vector
-from curveobs.expansion import theta0
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
 from curveobs.reference import (L_theta, Wedge3, act3, embed2, johnson_twist,
-                                wedge)
+                                theta0, wedge)
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 

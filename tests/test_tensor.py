@@ -5,12 +5,13 @@ from math import gcd
 import pytest
 
 from curveobs.ell import ell
-from curveobs.expansion import theta0, twist
+from curveobs.expansion import _theta0, _twist
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze, twist_consistency
 from curveobs.reference import (L_theta, act2, cyclic_N, derive, embed2,
-                                embed3, johnson_twist, omega, wedge, wedge3)
+                                embed3, johnson_twist, omega, theta0, wedge,
+                                wedge3)
 from curveobs.tensor import TruncTensor
 from curveobs.wedge import Wedge2
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
@@ -484,7 +485,9 @@ class TestIntNumeratorsMatchFractionReference:
 
 # --- the twist path's int fast paths against slower public references -------
 # Coefficients have denominators 1, 2, 3, 4 and 6; every reference builds its
-# tensors with the validating public constructor.
+# tensors with the validating public constructor. The twist cores take |w| and
+# ell(w) as ints over one d; `int_datum` draws those ints and builds the
+# references' HVec and Wedge2 from the same ints.
 
 def small_rational(rng):
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
@@ -500,6 +503,22 @@ def sparse_wedge2(genus, rng):
     return Wedge2.make(genus, [((rng.randrange(n), rng.randrange(n)),
                                 small_rational(rng))
                                for _ in range(rng.randint(0, 2 * n))])
+
+
+def int_datum(genus, rng):
+    """((h, e, d), |w|, ell(w)): h as (index, numerator) pairs on distinct
+    indices, e as raw (i, j, q) triples, unsorted, repeated or diagonal, both
+    over one d in 1..6, and the same values as an HVec and a Wedge2."""
+    n = 2 * genus
+    d = rng.randint(1, 6)
+    h = [(i, rng.randint(-9, 9)) for i in range(n) if rng.random() < 0.5]
+    e = [(rng.randrange(n), rng.randrange(n), rng.randint(-9, 9))
+         for _ in range(rng.randint(0, 2 * n))]
+    coords = [0] * n
+    for i, p in h:
+        coords[i] = Fraction(p, d)
+    return ((h, e, d), HVec.from_coords(genus, coords),
+            Wedge2.make(genus, [((i, j), Fraction(q, d)) for i, j, q in e]))
 
 
 def embed2_terms(w):
@@ -554,8 +573,8 @@ class TestTwistFastPaths:
                 make()
 
     def test_builders_keep_the_constructor_checks(self):
-        # theta0 builds its tensor in one pass and L_theta composes embed2
-        # and the ring operations; both raise where those raise
+        # theta0 and L_theta compose embed2 and the ring operations, and
+        # raise where those raise
         bad = (Wedge2.make(1, [((0, 5), 1)]), Wedge2.make(1, [((-1, 0), 1)]))
         for build in (theta0, L_theta):
             for w in bad:
@@ -572,12 +591,9 @@ class TestTwistFastPaths:
     def test_theta0_matches_its_composed_form(self, g):
         rng = random.Random(410 + g)
         for _ in range(10):
-            v, w = sparse_hvec(g, rng), sparse_wedge2(g, rng)
-            h = TruncTensor.from_hvec(v, 2)
-            want = (TruncTensor.one(g, 2) + h + embed2(w, 2)
-                    + (h * h).scale(Fraction(1, 2)))
-            got = theta0(v, w)
-            assert is_canonical(got) and got == want, (v, w)
+            datum, v, w = int_datum(g, rng)
+            got = _theta0(g, *datum)
+            assert is_canonical(got) and got == theta0(v, w), datum
 
     @pytest.mark.parametrize("g", GENERA)
     def test_commutator_is_embedded_wedge(self, g):
@@ -609,7 +625,7 @@ def rational_1_to_6(rng):
 
 
 class TestTwistOnDemand:
-    """`twist` applies the derivation of L in contraction form, read off |a|
+    """`_twist` applies the derivation of L in contraction form, read off |a|
     and ell(a); `johnson_twist(L_theta(...), u)` builds all of L first."""
 
     @pytest.mark.parametrize("g", GENERA)
@@ -618,52 +634,35 @@ class TestTwistOnDemand:
         n = 2 * g
         crossing = 0
         for _ in range(12):
-            h = HVec.from_coords(g, [rational_1_to_6(rng) if rng.random() < 0.5
-                                     else 0 for _ in range(n)])
-            e = Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
-                                 rational_1_to_6(rng))
-                                for _ in range(rng.randint(0, 2 * n))])
-            L = L_theta(h, e)
+            (h, e, d), ha, ea = int_datum(g, rng)
+            L = L_theta(ha, ea)
             v = HVec.from_coords(g, [rational_1_to_6(rng) for _ in range(n)])
             for u in (theta0(v, Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
                                                  rational_1_to_6(rng))])),
                       rational_tensor(g, rng, 2)):
-                got = twist(h, e, u)
+                got = _twist(h, e, d, u)
                 want = johnson_twist(L, u).degree_part(2) - u.degree_part(2)
-                assert got.degree_part(2) == want, (h, e, u)
-                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, u)
-                crossing += intersection(h, HVec.from_coords(
+                assert got.degree_part(2) == want, (h, e, d, u)
+                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, d, u)
+                crossing += intersection(ha, HVec.from_coords(
                     g, [u.coeff((k,)) for k in range(n)])) != 0
         assert crossing  # pairs with i_A != 0 are among the cases
 
     @pytest.mark.parametrize("g", (1, 2, 5))
     def test_degree_bounds_1_and_3(self, g):
-        # twist takes only theta0's bound 2; the same terms put at bound 2
-        # keep the contract
+        # _twist takes theta0's bound 2; terms drawn at bounds 1 and 3 and
+        # put at bound 2 keep the contract
         rng = random.Random(720 + g)
         for _ in range(40):
-            h, e = sparse_hvec(g, rng), sparse_wedge2(g, rng)
-            L = L_theta(h, e)
+            (h, e, d), ha, ea = int_datum(g, rng)
+            L = L_theta(ha, ea)
             for D in (1, 3):
-                u = rational_tensor(g, rng, D)
-                with pytest.raises(ValueError, match="degree bound"):
-                    twist(h, e, u)
-                u2 = TruncTensor(g, 2, u.terms)
-                got = twist(h, e, u2)
-                assert is_canonical(got) and u2 + got == johnson_twist(L, u2), (h, e, u)
-
-    def test_keeps_the_builders_checks(self):
-        u = TruncTensor.one(1, 2)
-        for w in (Wedge2.make(1, [((0, 5), 1)]), Wedge2.make(1, [((-1, 0), 1)])):
-            with pytest.raises(ValueError, match="out of range"):
-                twist(HVec.basis(1, 0), w, u)
-        with pytest.raises(ValueError, match="genus mismatch"):
-            twist(HVec.basis(1, 0), omega(2), u)
-        with pytest.raises(ValueError, match="genus mismatch"):
-            twist(HVec.basis(2, 0), omega(2), u)
+                u = TruncTensor(g, 2, rational_tensor(g, rng, D).terms)
+                got = _twist(h, e, d, u)
+                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, d, u)
 
 
-# --- the rank-one degree-1 action that `twist` applies ----------------------
+# --- the rank-one degree-1 action that `_twist` applies ---------------------
 
 def rank_one_coefficients(h):
     """c with c_y = (y.x) h_x for x the mate of y: the derivation of L(a)
@@ -677,7 +676,7 @@ class TestRankOneDegreeOneAction:
     X_y -> c_y h, and on a degree-2 part M the derivation is
     h (c^T M) + (M c) h. Its degree-3 part N(h e) sends a degree-1 z to
     sigma e + w h - h w in degree 2, with sigma = c.z and w = e(z), the
-    contraction of e by z. `twist` applies it in those forms."""
+    contraction of e by z. `_twist` applies it in those forms."""
 
     @pytest.mark.parametrize("g", GENERA)
     def test_degree_one_tails_are_multiples_of_h(self, g):
@@ -724,23 +723,19 @@ class TestRankOneDegreeOneAction:
 
     @pytest.mark.parametrize("g", GENERA)
     def test_twist_keeps_its_contract_at_every_degree_bound(self, g):
-        # the contract of TestTwistOnDemand at bound 2, and ValueError at
-        # bounds 1 and 3, on random rational data at every genus; where
+        # the contract of TestTwistOnDemand on tensors drawn at bounds 1, 2
+        # and 3 and put at _twist's bound 2, at every genus; where
         # D^2(u) != 0 the exponential weights two powers
         rng = random.Random(780 + g)
         second_power = 0
         for _ in range(10):
-            h, e = rand_hvec(g, rng), sparse_wedge2(g, rng)
-            L = L_theta(h, e)
+            (h, e, d), ha, ea = int_datum(g, rng)
+            L = L_theta(ha, ea)
             for D in (1, 2, 3):
-                for u in (rational_tensor(g, rng, D),
+                for u in (TruncTensor(g, 2, rational_tensor(g, rng, D).terms),
                           theta0(rand_hvec(g, rng), sparse_wedge2(g, rng))):
-                    if u.maxdeg != 2:
-                        with pytest.raises(ValueError, match="degree bound"):
-                            twist(h, e, u)
-                        continue
-                    got = twist(h, e, u)
-                    assert is_canonical(got), (h, e, u)
-                    assert u + got == johnson_twist(L, u), (h, e, u)
+                    got = _twist(h, e, d, u)
+                    assert is_canonical(got), (h, e, d, u)
+                    assert u + got == johnson_twist(L, u), (h, e, d, u)
                     second_power += not derive(L, derive(L, u)).is_zero()
         assert second_power

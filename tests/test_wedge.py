@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from curveobs.ell import obstruction_vector
-from curveobs.expansion import theta0, twist
 from curveobs.homology import HVec, intersection
-from curveobs.reference import (Wedge3, act2, act3, derive, embed2, embed3,
-                                omega, wedge, wedge3)
+from curveobs.reference import (L_theta, Wedge3, act2, act3, derive, embed2,
+                                embed3, omega, theta0, wedge, wedge3)
 from curveobs.tensor import TruncTensor
 from curveobs.wedge import Wedge2
 
@@ -196,7 +195,7 @@ class TestMalformedWedge2:
                      lambda: obstruction_vector(x1, zero, x1, w),
                      lambda: act2(w, x1),
                      lambda: theta0(x1, w),
-                     lambda: twist(x1, w, TruncTensor.one(1, 2))):
+                     lambda: L_theta(x1, w)):
             with pytest.raises(ValueError, match="basis index out of range"):
                 call()
 
