@@ -2,34 +2,38 @@
 twist along a word applied to it, and the closed form it is compared with.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
-generator values of ell, so theta0 is built at degree bound 2. The twist
-exp(-L(a)) needs L(a) through degree 3 for exact degree <= 2 output; `_twist`
-applies the derivation of L(a) in contraction form, read off |a| and ell(a)
-without building L(a), to a tensor at theta0's bound 2. `reference.theta0`,
-`reference.L_theta` and `reference.johnson_twist` are their defining forms
-on Fractions, and `johnson_twist` takes any degree bound.
+generator values of ell, so theta0 is built at degree bound 2. The twist is
+exp(-D) for the derivation D of L(a); `twist_consistency` applies it only at
+i_A = 0, and there it is one step, exp(-D)(u) - u = -D(u) through degree 2.
+Let h = |a| and c its mate vector, c_y = (y.x) h_x for x the mate of y, so
+that c . z is the pairing of z with h. For u = theta0(b):
+- sigma = c . |b| = +-i_A = 0 removes the terms of D(|b|) that carry sigma,
+  so D sends the degree-1 part to w h - h w, for w = ell(a)(|b|), and
+  D(w h - h w) = 0, as c . h = 0;
+- on the degree-2 part M = ell(b) + 1/2 |b| |b|, D(D(M)) = 2 (c^T M c) h h,
+  where c^T ell(b) c = 0 by antisymmetry and c^T |b| |b| c = i_A i_A = 0.
+`_minus_D` applies D once, in contraction form, read off |a| and ell(a)
+without building L(a), and raises `AssertionError` unless sigma and c^T M c
+are both 0. `reference.theta0`, `reference.L_theta` and
+`reference.johnson_twist` are their defining forms on Fractions;
+`johnson_twist` sums the whole series at any degree bound.
 
-`twist_consistency` calls `_theta0` and `_twist` with the int datum it
-builds from the words, and `bracket` with v's numerators.
+`twist_consistency` runs the int cores `_theta0_nums`, `_minus_D` and
+`bracket` on the int datum it builds from the words; `_theta0` and `_twist`
+put the first two in `TruncTensor` form.
 """
 
 from __future__ import annotations
 
-from math import factorial
-
 from .homology import basis_pairing, mate
 from .tensor import TruncTensor
 
-# exp(-L) on a degree <= 2 truncation: each derivation application either keeps
-# or raises degree and is nilpotent degreewise, so this bound is generous.
-_MAX_EXP_ITER = 64
 
-
-def _theta0(genus: int, h, e, d: int) -> TruncTensor:
-    """1 + h + (embedded ell(w) + 1/2 h h), as `reference.theta0`, on ints
-    over one d > 0: h = |w| as (index, numerator) pairs on distinct indices,
+def _theta0_nums(h, e, d: int) -> dict[tuple[int, ...], int]:
+    """The int numerators of 1 + h + (embedded ell(w) + 1/2 h h), over 2 d d,
+    for h = |w| as (index, numerator) pairs on distinct indices and
     e = ell(w) as (i, j, numerator) terms of X_i^X_j, in any order, summed
-    where repeated. Built in one pass as int numerators over 2 d d."""
+    where repeated, both over one d > 0."""
     d2 = 2 * d
     nums = {(): d2 * d}
     for i, p in h:
@@ -41,110 +45,88 @@ def _theta0(genus: int, h, e, d: int) -> TruncTensor:
         q *= d2
         nums[(i, j)] = get((i, j), 0) + q
         nums[(j, i)] = get((j, i), 0) - q
-    return TruncTensor._make(genus, 2, nums, d2 * d)
+    return nums
 
 
-def _exp_change(u: TruncTensor, den: int, apply) -> TruncTensor:
-    """exp(-D)(u) - u, the sum over k >= 1 of (-D)^k(u) / k!, for a
-    derivation D that `apply` takes from the int numerators of a tensor to
-    those of its image over den times its denominator, zeros dropped.
-
-    D^k(u) is kept over u.den den^k, and the sum over k = 1..K is put over
-    u.den den^K K! once, with weights (-1)^k K!/k! den^(K-k)."""
-    powers = []
-    term = u.nums
-    while term := apply(term):
-        powers.append(term)
-        if len(powers) == _MAX_EXP_ITER:
-            raise AssertionError("twist exponential failed to terminate")
-    K = len(powers)
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    w = (-1) ** K
-    for k in range(K, 0, -1):
-        for s, n in powers[k - 1].items():
-            out[s] = get(s, 0) + w * n
-        w *= -k * den
-    return TruncTensor._make(u.genus, u.maxdeg, out,
-                             u.den * den ** K * factorial(K))
+def _theta0(genus: int, h, e, d: int) -> TruncTensor:
+    """`reference.theta0` of |w| and ell(w), given as `_theta0_nums` takes
+    them."""
+    return TruncTensor._make(genus, 2, _theta0_nums(h, e, d), 2 * d * d)
 
 
-def _twist(h, e, d: int, u: TruncTensor) -> TruncTensor:
-    """exp(-L)(u) - u for L = L_theta(|a|, ell(a)), as
-    `reference.johnson_twist` computes it, without building L. h and e are
-    |a| and ell(a) over d, in the form `_theta0` takes; u is a tensor at
-    degree bound 2, such as the expansion `_theta0` builds.
+def _minus_D(h, e, nums) -> dict[tuple[int, ...], int]:
+    """-D(u), zeros dropped, for the derivation D of L = L_theta(|a|, ell(a))
+    and u of degree <= 2 given by its int numerators: over d d times u's
+    denominator, when h and e are |a| and ell(a) over d, in the form
+    `_theta0_nums` takes. Raises `AssertionError` unless sigma = 0 and
+    c^T M c = 0 (below), which make D(D(u)) = 0 through degree 2.
 
-    The derivation D of L sends a factor y, with x its mate and (y.x) = +-1,
-    to (y.x) times the terms of L that start with x, first factor dropped.
-    L is h h + N(h e) through degree 3, for e the embedded ell(a), and D is
-    applied in contraction form. On a degree-1 part z, with
-    sigma = z . h = sum_y z_y (y.x) h_x and w = ell(a)(z), the contraction
-    of ell(a) by z (as `reference.act2`), D(z) = sigma h + sigma e + w h - h w:
-    the rotation of h e with the factor of h first gives sigma e, and the two
-    with a factor of e first give w h - h w. On a degree-2 part M, only h h
-    fits: with c_y = (y.x) h_x, D(M) = h (c^T M) + (M c) h. On the degree-1
-    part, each application costs O(|ell(a)| + |w| |h|). Each term of D(t)
-    is a numerator of t times two of h and e, so one application puts t's
-    numerators over d d more."""
-    # c[y] = (y.x) h_x, so sigma = sum_y c[y] z_y
+    D sends a factor y, with x its mate and (y.x) = +-1, to (y.x) times the
+    terms of L that start with x, first factor dropped. L is h h + N(h e)
+    through degree 3, for e the embedded ell(a), and D is applied in
+    contraction form. On a degree-1 part z, with
+    sigma = z . h = sum_y c_y z_y for c_y = (y.x) h_x, and w = ell(a)(z),
+    the contraction of ell(a) by z (as `reference.act2`),
+    D(z) = sigma h + sigma e + w h - h w; with sigma = 0 that is w h - h w.
+    On a degree-2 part M, only h h fits: D(M) = h (c^T M) + (M c) h. Each
+    term is a numerator of u times two of h and e."""
     c = {mate(i): basis_pairing(mate(i), i) * p for i, p in h}
     # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
     ends: dict[int, list[tuple[int, int]]] = {}
     for j, k, q in e:
         ends.setdefault(j, []).append((k, q))
         ends.setdefault(k, []).append((j, -q))
-
-    def apply(t):
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        sigma = 0
-        w: dict[int, int] = {}
-        cM: dict[int, int] = {}
-        Mc: dict[int, int] = {}
-        for s, n in t.items():
-            if len(s) == 1:
-                y = s[0]
-                if y in c:
-                    sigma += c[y] * n
-                x = mate(y)
-                zx = basis_pairing(y, x) * n
-                for k, q in ends.get(x, ()):
-                    w[k] = w.get(k, 0) + zx * q
-            elif len(s) == 2:
-                i, j = s
-                if i in c:
-                    cM[j] = cM.get(j, 0) + c[i] * n
-                if j in c:
-                    Mc[i] = Mc.get(i, 0) + n * c[j]
-        if sigma:
+    sigma = 0
+    w: dict[int, int] = {}
+    cM: dict[int, int] = {}
+    Mc: dict[int, int] = {}
+    for s, n in nums.items():
+        if len(s) == 1:
+            y = s[0]
+            if y in c:
+                sigma += c[y] * n
+            x = mate(y)
+            zx = basis_pairing(y, x) * n
+            for k, q in ends.get(x, ()):
+                w[k] = w.get(k, 0) + zx * q
+        elif len(s) == 2:
+            i, j = s
+            if i in c:
+                cM[j] = cM.get(j, 0) + c[i] * n
+            if j in c:
+                Mc[i] = Mc.get(i, 0) + n * c[j]
+    cMc = sum(c[i] * q for i, q in Mc.items() if i in c)
+    if sigma or cMc:
+        raise AssertionError(f"the one-step twist needs sigma = 0 and "
+                             f"c^T M c = 0, got {sigma} and {cMc}")
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for k, q in w.items():
+        if q:
             for j, p in h:
-                out[(j,)] = get((j,), 0) + sigma * p
-            for j, k, q in e:
-                r = sigma * q
+                r = q * p
                 out[(j, k)] = get((j, k), 0) + r
                 out[(k, j)] = get((k, j), 0) - r
-        for k, q in w.items():
-            if q:
-                for j, p in h:
-                    r = q * p
-                    out[(k, j)] = get((k, j), 0) + r
-                    out[(j, k)] = get((j, k), 0) - r
-        for j, q in cM.items():
-            for i, p in h:
-                out[(i, j)] = get((i, j), 0) + p * q
-        for i, q in Mc.items():
-            for j, p in h:
-                out[(i, j)] = get((i, j), 0) + q * p
-        return {s: n for s, n in out.items() if n}
-
-    return _exp_change(u, d * d, apply)
+    for j, q in cM.items():
+        for i, p in h:
+            out[(i, j)] = get((i, j), 0) - p * q
+    for i, q in Mc.items():
+        for j, p in h:
+            out[(i, j)] = get((i, j), 0) - q * p
+    return {s: n for s, n in out.items() if n}
 
 
-def bracket(u: list[int], v: list[int], den: int) -> TruncTensor:
-    """u v - v u at degree bound 2, for int coordinate lists u and v over den
-    (genus len(u) / 2), in one int pass; the twist cross-check's closed
-    form."""
+def _twist(h, e, d: int, u: TruncTensor) -> TruncTensor:
+    """exp(-D)(u) - u = -D(u) for u at degree bound 2, such as the expansion
+    `_theta0` builds, as `reference.johnson_twist(L, u) - u` computes it
+    where `_minus_D`'s guard holds; h, e and d as `_minus_D` takes them."""
+    return TruncTensor._make(u.genus, u.maxdeg, _minus_D(h, e, u.nums),
+                             u.den * d * d)
+
+
+def bracket(u: list[int], v: list[int]) -> dict[tuple[int, ...], int]:
+    """The int numerators of u v - v u, zeros dropped, for int coordinate
+    lists u and v; the twist cross-check's closed form."""
     nums: dict[tuple[int, ...], int] = {}
     get = nums.get
     vn = [(j, q) for j, q in enumerate(v) if q]
@@ -154,4 +136,4 @@ def bracket(u: list[int], v: list[int], den: int) -> TruncTensor:
                 r = p * q
                 nums[(i, j)] = get((i, j), 0) + r
                 nums[(j, i)] = get((j, i), 0) - r
-    return TruncTensor._make(len(u) // 2, 2, nums, den)
+    return {s: n for s, n in nums.items() if n}

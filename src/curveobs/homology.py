@@ -137,7 +137,7 @@ class LatticeWitness(_Record):
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    """(g, s, t) with s*a + t*b = g, a gcd of a and b of either sign."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -146,8 +146,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
@@ -155,7 +153,7 @@ def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
     """Decide v in Z*u1 + Z*u2, with an integer witness (m, n) when it holds.
 
     One elimination step: at the first coordinate i0 where u1 and u2 are not
-    both zero, s*a + t*b = d = gcd(a, b) of their entries gives the unimodular
+    both zero, s*a + t*b = d = +-gcd(a, b) of their entries gives the unimodular
     change c1 = s*u1 + t*u2, c2 = (a/d)*u2 - (b/d)*u1 with c1[i0] = d and
     c2[i0] = 0, so v has at most one candidate m1*c1 + n1*c2.
     """

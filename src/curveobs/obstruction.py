@@ -9,7 +9,6 @@ intersection, but membership never certifies zero intersection.
 from __future__ import annotations
 
 import json
-from math import lcm
 
 from .ell import _obstruction_numerators, ell, obstruction_vector
 from .homology import (HVec, LatticeWitness, _letter_counts, _pairing,
@@ -122,28 +121,31 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     (derivation-exponential path) against the closed form |a| ^ v, as the
     commutator |a| v - v |a|. Both sides come from one int datum, built
     without a report: |a| and |b| from letter counts, ell(a) and ell(b) from
-    one `ell` call each, read as int numerators over one denominator, and v
-    from the int core of `obstruction_vector`. The twist applies the
-    derivation of L(a) in contraction form (see `expansion._twist`).
+    one `ell` call each, read as int numerators over 2, and v from the int
+    core of `obstruction_vector`. At i_A = 0 the twist is one application of
+    the derivation of L(a), in contraction form (see `expansion`).
 
     Returns (equal, twisted side, closed-form side), the sides as degree-2
     `TruncTensor`s (the annotation leaves them out, as `analyze` loads no
     tensor code); expected always equal.
     """
     # the twist path loads on demand: analyze needs neither module
-    from .expansion import _theta0, _twist, bracket
+    from .expansion import _minus_D, _theta0_nums, bracket
+    from .tensor import TruncTensor
     if a.genus != genus or b.genus != genus:
         raise ValueError("word genus does not match the requested genus")
     za, zb = _letter_counts(a), _letter_counts(b)
     if _pairing(za, zb):
         raise ValueError("twist cross-check requires algebraic intersection 0")
-    ell_a, ell_b = ell(a), ell(b)
-    d = lcm(*(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
-    ea, eb = _int_terms(ell_a, d), _int_terms(ell_b, d)
-    # the cores take |a| and |b| over ell's denominator d too
-    ha = [(i, p * d) for i, p in enumerate(za) if p]
-    hb = [(i, p * d) for i, p in enumerate(zb) if p]
-    lhs = _twist(ha, ea, d, _theta0(genus, hb, eb, d)).degree_part(2)
-    # |a|, |b| over 1 and ell over d: v over d
-    rhs = bracket(za, _obstruction_numerators(za, ea, zb, eb), d)
-    return lhs == rhs, lhs, rhs
+    # ell takes values in 1/2 Z, so its numerators over 2 are ints, and the
+    # cores take |a| and |b| over 2 too
+    ea, eb = _int_terms(ell(a), 2), _int_terms(ell(b), 2)
+    ha = [(i, 2 * p) for i, p in enumerate(za) if p]
+    hb = [(i, 2 * p) for i, p in enumerate(zb) if p]
+    # theta0(b) is over 2 2 2 and -D adds 2 2: the twisted side is over 32;
+    # v is over 2, so |a| over 1 times 16 v puts the closed form over 32
+    lhs = _minus_D(ha, ea, _theta0_nums(hb, eb, 2))
+    rhs = bracket(za, [16 * x for x in
+                        _obstruction_numerators(za, ea, zb, eb)])
+    return (lhs == rhs, TruncTensor._make(genus, 2, lhs, 32),
+            TruncTensor._make(genus, 2, rhs, 32))

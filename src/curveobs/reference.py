@@ -5,19 +5,24 @@ the production path against. No subcommand but `selftest` loads this module.
 homology, the symplectic form, the embeddings of exterior elements as
 tensors, the cyclic and derivation operators on tensors, the expansion
 `theta0`, and the twist derivation `L_theta` with the twist automorphism
-`johnson_twist`, each in its defining form. `expansion` builds theta0 and
-the twist as int numerators, the twist without building L.
+`johnson_twist`, each in its defining form; `johnson_twist` sums the whole
+exponential series at any degree bound. `expansion` builds theta0 and the
+twist as int numerators, the twist as one derivation step without building
+L, which holds at i_A = 0 only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .expansion import _MAX_EXP_ITER
 from .homology import HVec, basis_pairing, mate
 from .tensor import TruncTensor, _degree
 from .wedge import Wedge2, _Alternating, check_indices
 from .words import check_genus
+
+# exp(-L) on a degree <= 2 truncation: each derivation application either keeps
+# or raises degree and is nilpotent degreewise, so this bound is generous.
+_MAX_EXP_ITER = 64
 
 
 class Wedge3(_Alternating):

@@ -97,9 +97,6 @@ class Word(_Record):
     def identity(cls, genus: int) -> "Word":
         return cls(genus, ())
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         check_genus(self, other, WordError)
         return Word.from_letters(self.genus, self.letters + other.letters)

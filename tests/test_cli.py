@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import curveobs
-from curveobs import cli, selftest, twist_consistency
+from curveobs import cli, obstruction, selftest, twist_consistency
 from curveobs.cli import _build_parser, main
 from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
 
@@ -74,15 +74,21 @@ class TestAnalyze:
         pairs.write_text("2\tx1 x2 y2 x2^-1\ty2 x1^-1\n"
                          "\n"
                          "1\tx1\tx7\n"
+                         "1\tx1\ty1\n"
+                         "2\tx1 x2\n"
                          "1\tx1\ty1\n")
         code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
         assert code == 1
         lines = [json.loads(l) for l in out.strip().splitlines()]
-        assert len(lines) == 3
+        assert len(lines) == 5
         assert lines[0]["verdict"] == "certified_positive_theorem"
         assert lines[1]["line"] == 2 and "x7" in lines[1]["error"]
         assert set(lines[1]) == {"line", "error"}
         assert lines[2]["verdict"] == "certified_positive_homological"
+        # a line without three fields
+        assert lines[3] == {"line": 4, "error": "bad batch line (need "
+                            "genus<TAB>a<TAB>b): '2\\tx1 x2'"}
+        assert lines[4]["verdict"] == "certified_positive_homological"
 
     def test_batch_non_utf8_line_is_one_error(self, capsys, tmp_path):
         # the bad byte sits past the decoder's first chunk: every line before
@@ -363,6 +369,15 @@ class TestTwistCheck:
                            "--a", "x1", "--b", "y1")
         assert code == 1
 
+    def test_one_step_guard_is_an_internal_error(self, capsys, monkeypatch):
+        # past a pairing check that reads 0, a pair with i_A != 0 reaches the
+        # twist, whose one-step guard (sigma = 0) fails
+        monkeypatch.setattr(obstruction, "_pairing", lambda za, zb: 0)
+        code, out, err = run(capsys, "twist-check", "--genus", "1",
+                             "--a", "x1", "--b", "y1")
+        assert code == 2 and out == ""
+        assert err.startswith("internal error: ") and "one-step twist" in err
+
 
 class TestEval:
     def test_zeta(self, capsys):
@@ -491,6 +506,14 @@ class TestImportFootprint:
         assert self.loaded_after(
             "twist-check", "--genus", "2", "--a", "x1 x2 y2 x2^-1",
             "--b", "y2 x1^-1") == "0 ['curveobs.expansion', 'curveobs.tensor']\n"
+
+    def test_reference_loads_tensor_but_not_expansion(self):
+        # the reference twist sums its own series; the one-step production
+        # twist is not among its dependencies
+        proc = self.python("-c", "import sys, curveobs.reference; print(sorted("
+                           f"m for m in {self.TWIST!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['curveobs.reference', 'curveobs.tensor']\n"
 
     def test_star_import_resolves_every_exported_name(self):
         proc = self.python("-c", "from curveobs import *\nimport curveobs\n"

@@ -151,6 +151,12 @@ class TestLatticeMember:
          (True, 2, 1)),
         ("rank2_negative_leading_miss", (0, -7, 4, 1), (0, -3, 2, 0),
          (0, 1, 0, 1), (False, None, None)),
+        # Euclid's gcd of -2 and -4 is -2: s, t and d flip sign together, so
+        # the witness 3 u1 - 2 u2 = v comes out as with d = 2
+        ("rank2_negative_gcd", (2, 3, 0, -2), (-2, 1, 0, 0), (-4, 0, 0, 1),
+         (True, 3, -2)),
+        ("rank2_negative_gcd_miss", (-2, 0, 0, 0), (-2, 1, 0, 0),
+         (-4, 0, 0, 1), (False, None, None)),
         ("rank2_index_two", (2, 0), (1, 1), (1, -1), (True, 1, 1)),
         ("rank2_index_two_miss", (1, 0), (1, 1), (1, -1), (False, None, None)),
         ("fractional_rank2", (Fraction(1, 2), 0, 0, Fraction(1, 2)),

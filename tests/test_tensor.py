@@ -619,9 +619,70 @@ class TestTwistFastPaths:
 
 
 # --- the twist without L against the materialised L -------------------------
+# `_twist` applies the derivation D of L once, which is the whole twist when
+# sigma = c . z and c^T M c are 0, for z and M the degree-1 and degree-2 parts
+# of u, and raises elsewhere. `twist_check` holds it to that contract on one
+# draw, reading sigma and c^T M c off Fraction coefficients.
 
 def rational_1_to_6(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def rank_one_coefficients(h):
+    """c with c_y = (y.x) h_x for x the mate of y: the derivation of L(a)
+    sends X_y to c_y h in degree 1."""
+    return HVec(h.genus, tuple(basis_pairing(y, mate(y)) * h.coords[mate(y)]
+                               for y in range(2 * h.genus)))
+
+
+def guard_values(c, u):
+    """(sigma, c^T M c) of u at degree bound 2, for c as a coordinate tuple."""
+    sigma = cMc = Fraction(0)
+    for s, x in u.terms.items():
+        if len(s) == 1:
+            sigma += c[s[0]] * x
+        elif len(s) == 2:
+            cMc += c[s[0]] * x * c[s[1]]
+    return sigma, cMc
+
+
+def meeting_the_guard(c, u):
+    """u with its X_k and X_k X_k coefficients shifted, for the first k with
+    c_k != 0, so that sigma = c^T M c = 0."""
+    k = next((y for y, cy in enumerate(c) if cy), None)
+    if k is None:
+        return u
+    sigma, cMc = guard_values(c, u)
+    terms = u.terms
+    terms[(k,)] = terms.get((k,), 0) - sigma / c[k]
+    terms[(k, k)] = terms.get((k, k), 0) - cMc / (c[k] * c[k])
+    return TruncTensor(u.genus, u.maxdeg, terms)
+
+
+def orthogonal(c, v):
+    """v with its k-th coordinate shifted, for the first k with c_k != 0, so
+    that c . v = 0: theta0 of it meets the guard."""
+    k = next((y for y, cy in enumerate(c) if cy), None)
+    if k is None:
+        return v
+    coords = list(v.coords)
+    coords[k] -= sum((cy * vy for cy, vy in zip(c, coords)), Fraction(0)) / c[k]
+    return HVec(v.genus, tuple(coords))
+
+
+def twist_check(datum, L, c, u, outcomes):
+    """Where the guard holds, `_twist` gives johnson_twist(L, u) - u in
+    canonical form, and D(D(u)) = 0; elsewhere it raises. outcomes counts
+    each (guard holds) outcome."""
+    held = guard_values(c, u) == (0, 0)
+    if held:
+        got = _twist(*datum, u)
+        assert is_canonical(got) and got == johnson_twist(L, u) - u, (datum, u)
+        assert derive(L, derive(L, u)).is_zero(), (datum, u)
+    else:
+        with pytest.raises(AssertionError, match="one-step twist"):
+            _twist(*datum, u)
+    outcomes[held] += 1
 
 
 class TestTwistOnDemand:
@@ -632,44 +693,36 @@ class TestTwistOnDemand:
     def test_matches_the_materialised_twist(self, g):
         rng = random.Random(700 + g)
         n = 2 * g
-        crossing = 0
+        outcomes = [0, 0]
         for _ in range(12):
-            (h, e, d), ha, ea = int_datum(g, rng)
-            L = L_theta(ha, ea)
+            datum, ha, ea = int_datum(g, rng)
+            L, c = L_theta(ha, ea), rank_one_coefficients(ha).coords
             v = HVec.from_coords(g, [rational_1_to_6(rng) for _ in range(n)])
-            for u in (theta0(v, Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
-                                                 rational_1_to_6(rng))])),
-                      rational_tensor(g, rng, 2)):
-                got = _twist(h, e, d, u)
-                want = johnson_twist(L, u).degree_part(2) - u.degree_part(2)
-                assert got.degree_part(2) == want, (h, e, d, u)
-                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, d, u)
-                crossing += intersection(ha, HVec.from_coords(
-                    g, [u.coeff((k,)) for k in range(n)])) != 0
-        assert crossing  # pairs with i_A != 0 are among the cases
+            w = Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
+                                 rational_1_to_6(rng))])
+            u = rational_tensor(g, rng, 2)
+            for t in (theta0(v, w), u, theta0(orthogonal(c, v), w),
+                      meeting_the_guard(c, u)):
+                twist_check(datum, L, c, t, outcomes)
+        assert all(outcomes)
 
     @pytest.mark.parametrize("g", (1, 2, 5))
     def test_degree_bounds_1_and_3(self, g):
         # _twist takes theta0's bound 2; terms drawn at bounds 1 and 3 and
         # put at bound 2 keep the contract
         rng = random.Random(720 + g)
+        outcomes = [0, 0]
         for _ in range(40):
-            (h, e, d), ha, ea = int_datum(g, rng)
-            L = L_theta(ha, ea)
+            datum, ha, ea = int_datum(g, rng)
+            L, c = L_theta(ha, ea), rank_one_coefficients(ha).coords
             for D in (1, 3):
                 u = TruncTensor(g, 2, rational_tensor(g, rng, D).terms)
-                got = _twist(h, e, d, u)
-                assert is_canonical(got) and u + got == johnson_twist(L, u), (h, e, d, u)
+                for t in (u, meeting_the_guard(c, u)):
+                    twist_check(datum, L, c, t, outcomes)
+        assert all(outcomes)
 
 
 # --- the rank-one degree-1 action that `_twist` applies ---------------------
-
-def rank_one_coefficients(h):
-    """c with c_y = (y.x) h_x for x the mate of y: the derivation of L(a)
-    sends X_y to c_y h in degree 1."""
-    return HVec(h.genus, tuple(basis_pairing(y, mate(y)) * h.coords[mate(y)]
-                               for y in range(2 * h.genus)))
-
 
 class TestRankOneDegreeOneAction:
     """L's degree-2 part is h h, so the degree-1 part of its derivation is
@@ -724,18 +777,16 @@ class TestRankOneDegreeOneAction:
     @pytest.mark.parametrize("g", GENERA)
     def test_twist_keeps_its_contract_at_every_degree_bound(self, g):
         # the contract of TestTwistOnDemand on tensors drawn at bounds 1, 2
-        # and 3 and put at _twist's bound 2, at every genus; where
-        # D^2(u) != 0 the exponential weights two powers
+        # and 3 and put at _twist's bound 2, at every genus, each next to a
+        # copy that meets the guard
         rng = random.Random(780 + g)
-        second_power = 0
+        outcomes = [0, 0]
         for _ in range(10):
-            (h, e, d), ha, ea = int_datum(g, rng)
-            L = L_theta(ha, ea)
+            datum, ha, ea = int_datum(g, rng)
+            L, c = L_theta(ha, ea), rank_one_coefficients(ha).coords
             for D in (1, 2, 3):
                 for u in (TruncTensor(g, 2, rational_tensor(g, rng, D).terms),
                           theta0(rand_hvec(g, rng), sparse_wedge2(g, rng))):
-                    got = _twist(h, e, d, u)
-                    assert is_canonical(got), (h, e, d, u)
-                    assert u + got == johnson_twist(L, u), (h, e, d, u)
-                    second_power += not derive(L, derive(L, u)).is_zero()
-        assert second_power
+                    for t in (u, meeting_the_guard(c, u)):
+                        twist_check(datum, L, c, t, outcomes)
+        assert all(outcomes)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveobs.words import (MAX_LETTERS, Word, WordError, boundary_word,
-                            commutator, format_word, generator, parse_word,
-                            random_commutator_element_rng, random_letters,
-                            random_word_rng, reduce_letters)
+from curveobs.words import (MAX_GENUS, MAX_LETTERS, Word, WordError,
+                            boundary_word, commutator, format_word, generator,
+                            parse_word, random_commutator_element_rng,
+                            random_letters, random_word_rng, reduce_letters)
 from curveobs.homology import abelianize
 
 
@@ -67,6 +67,10 @@ class TestParse:
         ("[x1 x2]", 2, "expected ',' inside commutator bracket"),
         ("2", 1, "unexpected token '2'"),
         ("^2", 1, "unexpected token '^'"),
+        # parse_word's own genus check, for callers that skip parse_genus
+        ("x1", 0, "genus must be >= 1, got 0"),
+        ("x1", MAX_GENUS + 1,
+         f"genus must be <= {MAX_GENUS}, got {MAX_GENUS + 1}"),
     ])
     def test_error_messages(self, text, genus, message):
         with pytest.raises(WordError) as exc:
@@ -117,7 +121,9 @@ class TestFormat:
         assert format_word(Word(2, L("x1", "y2^-1"))) == "x1 y2^-1"
 
     def test_power_compression(self):
-        assert format_word(parse_word("x2^-3", 2)) == "x2^-3"
+        w = parse_word("x2^-3", 2)
+        assert format_word(w) == "x2^-3"
+        assert str(w) == format_word(w)
 
     @given(words_())
     def test_roundtrip(self, w):
