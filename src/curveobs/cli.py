@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .ell import ell
 from .homology import abelianize, basis_label
-from .obstruction import analyze, twist_consistency
+from .obstruction import TWIST_DEN, analyze, twist_consistency
 from .words import (WordError, _bounded_int, _shown, format_word,
                     parse_genus, parse_word)
 
@@ -143,12 +144,12 @@ def _cmd_twist_check(args) -> int:
     a = parse_word(args.word_a, args.genus)
     b = parse_word(args.word_b, args.genus)
     ok, lhs, rhs = twist_consistency(args.genus, a, b)
+    lhs, rhs = ({s: Fraction(n, TWIST_DEN) for s, n in t.items()}
+                for t in (lhs, rhs))
     if args.format == "json":
         def terms(t):
-            return {
-                " ".join(basis_label(i) for i in s) or "1": str(c)
-                for s, c in sorted(t.terms.items())
-            }
+            return {" ".join(basis_label(i) for i in s) or "1": str(c)
+                    for s, c in sorted(t.items())}
 
         payload = {
             "consistent": ok,
@@ -159,8 +160,11 @@ def _cmd_twist_check(args) -> int:
     else:
         print(f"twist identity holds: {ok}")
         if not ok:
-            print(f"derivation-exponential side: {lhs!r}")
-            print(f"closed-form side:            {rhs!r}")
+            # each side as the degree-2 tensor it is, in its terms' order
+            for name, t in (("derivation-exponential side: ", lhs),
+                            ("closed-form side:            ", rhs)):
+                print(f"{name}TruncTensor(genus={args.genus}, maxdeg=2, "
+                      f"terms={t!r})")
     return 0 if ok else 2
 
 

@@ -1,5 +1,7 @@
-"""What the twist cross-check runs: the degree-2 expansion of a word, the
-twist along a word applied to it, and the closed form it is compared with.
+"""What the twist cross-check runs, on int numerators: the degree-2
+expansion of a word, the twist along a word applied to it, and the closed
+form it is compared with. Each function returns a plain
+{sequence: numerator} dict, and this module loads no tensor code.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The twist is
@@ -15,18 +17,13 @@ that c . z is the pairing of z with h. For u = theta0(b):
 `_minus_D` applies D once, in contraction form, read off |a| and ell(a)
 without building L(a), and raises `AssertionError` unless sigma and c^T M c
 are both 0. `reference.theta0`, `reference.L_theta` and
-`reference.johnson_twist` are their defining forms on Fractions;
+`reference.johnson_twist` are their defining forms on `TruncTensor`s;
 `johnson_twist` sums the whole series at any degree bound.
-
-`twist_consistency` runs the int cores `_theta0_nums`, `_minus_D` and
-`bracket` on the int datum it builds from the words; `_theta0` and `_twist`
-put the first two in `TruncTensor` form.
 """
 
 from __future__ import annotations
 
 from .homology import basis_pairing, mate
-from .tensor import TruncTensor
 
 
 def _theta0_nums(h, e, d: int) -> dict[tuple[int, ...], int]:
@@ -48,12 +45,6 @@ def _theta0_nums(h, e, d: int) -> dict[tuple[int, ...], int]:
     return nums
 
 
-def _theta0(genus: int, h, e, d: int) -> TruncTensor:
-    """`reference.theta0` of |w| and ell(w), given as `_theta0_nums` takes
-    them."""
-    return TruncTensor._make(genus, 2, _theta0_nums(h, e, d), 2 * d * d)
-
-
 def _minus_D(h, e, nums) -> dict[tuple[int, ...], int]:
     """-D(u), zeros dropped, for the derivation D of L = L_theta(|a|, ell(a))
     and u of degree <= 2 given by its int numerators: over d d times u's
@@ -68,7 +59,8 @@ def _minus_D(h, e, nums) -> dict[tuple[int, ...], int]:
     sigma = z . h = sum_y c_y z_y for c_y = (y.x) h_x, and w = ell(a)(z),
     the contraction of ell(a) by z (as `reference.act2`),
     D(z) = sigma h + sigma e + w h - h w; with sigma = 0 that is w h - h w.
-    On a degree-2 part M, only h h fits: D(M) = h (c^T M) + (M c) h. Each
+    On a degree-2 part M, only h h fits: D(M) = h (c^T M) + (M c) h. So
+    -D(u) = h (w - c^T M) - (w + M c) h, two outer products with h; each
     term is a numerator of u times two of h and e."""
     c = {mate(i): basis_pairing(mate(i), i) * p for i, p in h}
     # ends[x]: (k, q) for each term q X_x^X_k of e, X_j^X_x read as -X_x^X_j
@@ -76,10 +68,9 @@ def _minus_D(h, e, nums) -> dict[tuple[int, ...], int]:
     for j, k, q in e:
         ends.setdefault(j, []).append((k, q))
         ends.setdefault(k, []).append((j, -q))
-    sigma = 0
-    w: dict[int, int] = {}
-    cM: dict[int, int] = {}
-    Mc: dict[int, int] = {}
+    sigma = cMc = 0
+    right: dict[int, int] = {}  # w - c^T M
+    left: dict[int, int] = {}  # w + M c
     for s, n in nums.items():
         if len(s) == 1:
             y = s[0]
@@ -88,52 +79,36 @@ def _minus_D(h, e, nums) -> dict[tuple[int, ...], int]:
             x = mate(y)
             zx = basis_pairing(y, x) * n
             for k, q in ends.get(x, ()):
-                w[k] = w.get(k, 0) + zx * q
+                r = zx * q
+                right[k] = right.get(k, 0) + r
+                left[k] = left.get(k, 0) + r
         elif len(s) == 2:
             i, j = s
-            if i in c:
-                cM[j] = cM.get(j, 0) + c[i] * n
-            if j in c:
-                Mc[i] = Mc.get(i, 0) + n * c[j]
-    cMc = sum(c[i] * q for i, q in Mc.items() if i in c)
+            ci, cj = c.get(i), c.get(j)
+            if ci:
+                right[j] = right.get(j, 0) - ci * n
+            if cj:
+                left[i] = left.get(i, 0) + n * cj
+                if ci:
+                    cMc += ci * n * cj
     if sigma or cMc:
         raise AssertionError(f"the one-step twist needs sigma = 0 and "
                              f"c^T M c = 0, got {sigma} and {cMc}")
-    out: dict[tuple[int, ...], int] = {}
+    out = {(i, k): p * q for k, q in right.items() for i, p in h}
     get = out.get
-    for k, q in w.items():
-        if q:
-            for j, p in h:
-                r = q * p
-                out[(j, k)] = get((j, k), 0) + r
-                out[(k, j)] = get((k, j), 0) - r
-    for j, q in cM.items():
-        for i, p in h:
-            out[(i, j)] = get((i, j), 0) - p * q
-    for i, q in Mc.items():
+    for k, q in left.items():
         for j, p in h:
-            out[(i, j)] = get((i, j), 0) - q * p
+            out[(k, j)] = get((k, j), 0) - q * p
     return {s: n for s, n in out.items() if n}
-
-
-def _twist(h, e, d: int, u: TruncTensor) -> TruncTensor:
-    """exp(-D)(u) - u = -D(u) for u at degree bound 2, such as the expansion
-    `_theta0` builds, as `reference.johnson_twist(L, u) - u` computes it
-    where `_minus_D`'s guard holds; h, e and d as `_minus_D` takes them."""
-    return TruncTensor._make(u.genus, u.maxdeg, _minus_D(h, e, u.nums),
-                             u.den * d * d)
 
 
 def bracket(u: list[int], v: list[int]) -> dict[tuple[int, ...], int]:
     """The int numerators of u v - v u, zeros dropped, for int coordinate
     lists u and v; the twist cross-check's closed form."""
-    nums: dict[tuple[int, ...], int] = {}
-    get = nums.get
     vn = [(j, q) for j, q in enumerate(v) if q]
-    for i, p in enumerate(u):
-        if p:
-            for j, q in vn:
-                r = p * q
-                nums[(i, j)] = get((i, j), 0) + r
-                nums[(j, i)] = get((j, i), 0) - r
+    uv = {(i, j): p * q for i, p in enumerate(u) if p for j, q in vn}
+    nums = dict(uv)
+    get = nums.get
+    for (i, j), r in uv.items():
+        nums[(j, i)] = get((j, i), 0) - r
     return {s: n for s, n in nums.items() if n}

@@ -20,8 +20,12 @@ VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# the expansion `_theta0` builds (`reference.theta0`), named in every report
+# the expansion the twist cross-check builds (`reference.theta0`), named in
+# every report
 EXPANSION_NAME = "theta0"
+
+# the one denominator of both sides `twist_consistency` returns
+TWIST_DEN = 32
 
 DISCLAIMER = (
     "inputs are trusted to represent simple closed curves; for other words "
@@ -125,13 +129,13 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     core of `obstruction_vector`. At i_A = 0 the twist is one application of
     the derivation of L(a), in contraction form (see `expansion`).
 
-    Returns (equal, twisted side, closed-form side), the sides as degree-2
-    `TruncTensor`s (the annotation leaves them out, as `analyze` loads no
-    tensor code); expected always equal.
+    Returns (equal, twisted side, closed-form side), each side a
+    {sequence: int} dict of the numerators over `TWIST_DEN` = 32 of its
+    nonzero degree-2 coefficients, sequence a pair of basis indices; expected
+    always equal.
     """
-    # the twist path loads on demand: analyze needs neither module
+    # the twist path loads on demand: analyze does not need it
     from .expansion import _minus_D, _theta0_nums, bracket
-    from .tensor import TruncTensor
     if a.genus != genus or b.genus != genus:
         raise ValueError("word genus does not match the requested genus")
     za, zb = _letter_counts(a), _letter_counts(b)
@@ -147,5 +151,4 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     lhs = _minus_D(ha, ea, _theta0_nums(hb, eb, 2))
     rhs = bracket(za, [16 * x for x in
                         _obstruction_numerators(za, ea, zb, eb)])
-    return (lhs == rhs, TruncTensor._make(genus, 2, lhs, 32),
-            TruncTensor._make(genus, 2, rhs, 32))
+    return lhs == rhs, lhs, rhs

@@ -12,8 +12,8 @@ coefficient is exact: a tensor whose higher coefficients are not known is built
 at a lower degree bound instead.
 
 This module holds the ring operations. The cyclic and derivation operators
-are in `reference`, in their defining forms; `expansion` builds the tensors
-the twist cross-check needs directly as int numerators.
+are in `reference`, in their defining forms; `expansion` builds what the
+twist cross-check needs as plain int numerator dicts, without this module.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ are in `reference`."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .homology import basis_label, format_terms
 from .words import _Record, _set, check_genus
@@ -82,11 +82,14 @@ class Wedge2(_Alternating):
 def check_indices(w: _Alternating):
     """Raise ValueError if a term of w has a basis index outside 0..2g-1.
     The functions that take a `Wedge2` as input run it; `make` does not, as
-    the `ell` fold builds only valid indices."""
+    the `ell` fold builds only valid indices. One pass gathers the indices;
+    the keys are scanned only to name a bad one."""
     n = 2 * w.genus
-    for key in w.terms:
-        if not all(0 <= i < n for i in key):
-            raise ValueError(f"basis index out of range in {key}")
+    used = set(chain.from_iterable(w.terms))
+    if used and (min(used) < 0 or max(used) >= n):
+        for key in w.terms:
+            if not all(0 <= i < n for i in key):
+                raise ValueError(f"basis index out of range in {key}")
 
 
 def _int_terms(w: Wedge2, d: int) -> list[tuple[int, int, int]]:

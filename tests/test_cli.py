@@ -345,23 +345,22 @@ class TestTwistCheck:
         assert json.loads(out)["consistent"] is True
 
     def test_inconsistent_pair_exits_2(self, capsys, monkeypatch):
-        # both sides are printed when the identity fails
-        sides = []
-
+        # both sides are printed when the identity fails, each in the form
+        # of the degree-2 tensor it is, its terms in the order computed
         def inconsistent(genus, a, b):
             ok, lhs, rhs = twist_consistency(genus, a, b)
-            sides.extend((lhs, rhs))
             return False, lhs, rhs
 
         monkeypatch.setattr(cli, "twist_consistency", inconsistent)
         code, out, _ = run(capsys, "twist-check", "--genus", "2",
                            "--a", "x1 x2 y2 x2^-1", "--b", "y2 x1^-1")
         assert code == 2
-        lhs, rhs = sides
+        side = ("TruncTensor(genus=2, maxdeg=2, terms={(3, 0): Fraction(1, 1), "
+                "(0, 3): Fraction(-1, 1)})")
         assert out.splitlines() == [
             "twist identity holds: False",
-            f"derivation-exponential side: {lhs!r}",
-            f"closed-form side:            {rhs!r}",
+            f"derivation-exponential side: {side}",
+            f"closed-form side:            {side}",
         ]
 
     def test_nonzero_intersection_rejected(self, capsys):
@@ -502,10 +501,16 @@ class TestImportFootprint:
         assert self.loaded_after("analyze", "--genus", "2", "--a", "x1",
                                  "--b", "x2") == "0 []\n"
 
-    def test_twist_check_loads_tensor_and_expansion_only(self):
+    def test_twist_check_loads_expansion_only(self):
         assert self.loaded_after(
             "twist-check", "--genus", "2", "--a", "x1 x2 y2 x2^-1",
-            "--b", "y2 x1^-1") == "0 ['curveobs.expansion', 'curveobs.tensor']\n"
+            "--b", "y2 x1^-1") == "0 ['curveobs.expansion']\n"
+
+    def test_expansion_loads_no_tensor_code(self):
+        proc = self.python("-c", "import sys, curveobs.expansion; print(sorted("
+                           f"m for m in {self.TWIST!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['curveobs.expansion']\n"
 
     def test_reference_loads_tensor_but_not_expansion(self):
         # the reference twist sums its own series; the one-step production

@@ -5,13 +5,14 @@ from math import gcd
 import pytest
 
 from curveobs.ell import ell
-from curveobs.expansion import _theta0, _twist
+from curveobs.expansion import _minus_D, _theta0_nums
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
-from curveobs.obstruction import analyze, twist_consistency
+from curveobs.obstruction import analyze
 from curveobs.reference import (L_theta, act2, cyclic_N, derive, embed2,
                                 embed3, johnson_twist, omega, theta0, wedge,
                                 wedge3)
+from curveobs.selftest import twist_tensors
 from curveobs.tensor import TruncTensor
 from curveobs.wedge import Wedge2
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
@@ -521,6 +522,20 @@ def int_datum(genus, rng):
             Wedge2.make(genus, [((i, j), Fraction(q, d)) for i, j, q in e]))
 
 
+def _theta0(genus, h, e, d):
+    """`reference.theta0` of |w| and ell(w), given as `_theta0_nums` takes
+    them."""
+    return TruncTensor._make(genus, 2, _theta0_nums(h, e, d), 2 * d * d)
+
+
+def _twist(h, e, d, u):
+    """exp(-D)(u) - u = -D(u) for u at degree bound 2, such as the expansion
+    `_theta0` builds, as `reference.johnson_twist(L, u) - u` computes it
+    where `_minus_D`'s guard holds; h, e and d as `_minus_D` takes them."""
+    return TruncTensor._make(u.genus, u.maxdeg, _minus_D(h, e, u.nums),
+                             u.den * d * d)
+
+
 def embed2_terms(w):
     terms = {}
     for (i, j), c in w.terms.items():
@@ -613,7 +628,7 @@ class TestTwistFastPaths:
             rep = analyze(g, a, b)
             if rep.i_A != 0:
                 continue
-            ok, lhs, rhs = twist_consistency(g, a, b)
+            ok, lhs, rhs = twist_tensors(g, a, b)
             assert ok and rhs == embed2(wedge(rep.abs_a, rep.v), 2), (a, b)
             checked += 1
 

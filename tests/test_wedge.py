@@ -199,6 +199,24 @@ class TestMalformedWedge2:
             with pytest.raises(ValueError, match="basis index out of range"):
                 call()
 
+    @pytest.mark.parametrize("g", (1, 2, 5))
+    def test_first_index_past_each_end_is_named(self, g):
+        # -1 and 2g, next to valid terms that reach 0 and 2g - 1; the message
+        # names the bad key, and the valid terms alone pass
+        n = 2 * g
+        ok = [((0, 1), 1), ((n - 2, n - 1), 2)]
+        x1, zero = basis(g, X1), Wedge2.zero(g)
+        good = Wedge2.make(g, ok)
+        assert act2(good, x1) == obstruction_vector(x1, good, x1, zero)
+        for bad in ((-1, 1), (0, n)):
+            w = Wedge2.make(g, [*ok, (bad, 3)])
+            for call in (lambda: obstruction_vector(x1, w, x1, zero),
+                         lambda: obstruction_vector(x1, zero, x1, w),
+                         lambda: act2(w, x1)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"basis index out of range in {bad}"
+
 
 class TestMakeCoercion:
     """`make` stores every coefficient as a `Fraction`: it coerces an int or a
