@@ -34,6 +34,45 @@ def words_(draw, max_len=20):
     return Word.from_letters(g, letters)
 
 
+# Input at genus 2 and the exact error it raises; past the first twelve, the
+# generator-atom edge cases: a sign, a separator or a second '^' where the
+# exponent's digits go, zero and overlong exponents, and a fault after an atom.
+ERRORS = {
+    "": "empty input (use '1' for the identity)",
+    "  ": "empty input (use '1' for the identity)",
+    "x0": "generator index out of range 1..2 in 'x0'",
+    "x3": "generator index out of range 1..2 in 'x3'",
+    "z1": "unknown token at 'z1'",
+    "x1^0": "exponent 0 is not allowed",
+    "[x1,y1": "unbalanced bracket, expected ']'",
+    "(x1": "unbalanced bracket, expected ')'",
+    "x1)": "unexpected token ')'",
+    "x1^": "expected integer exponent, got ''",
+    "x1,y1": "unexpected token ','",
+    "x1 & y1": "unknown token at '& y1'",
+    "x1^+2": "unknown token at '+2'",
+    "x1^-": "unknown token at '-'",
+    "x1^- 2": "unknown token at '- 2'",
+    "x1^x2": "expected integer exponent, got 'x2'",
+    "x1 ^ x2": "expected integer exponent, got 'x2'",
+    "x1 ^ *": "expected integer exponent, got ''",
+    "x1^(x2)": "expected integer exponent, got '('",
+    "x1^2^3": "unexpected token '^'",
+    "x1^-2 ^ 3": "unexpected token '^'",
+    "x1^-0": "exponent 0 is not allowed",
+    "x1^00": "exponent 0 is not allowed",
+    "x1^1000001": "word expands to 1000001 letters, more than 1000000",
+    "x1^10000000": "exponent '10000000' expands the word to more than 1000000 "
+                   "letters",
+    "x1^-" + "9" * 30: "exponent '-99999999999'... (31 characters) expands "
+                       "the word to more than 1000000 letters",
+    "x9^2 &": "generator index out of range 1..2 in 'x9'",
+    "x9^+2": "generator index out of range 1..2 in 'x9'",
+    "x1^2 &": "unknown token at '&'",
+    "x1 y": "unknown token at 'y'",
+}
+
+
 class TestParse:
     def test_paper_example(self):
         assert parse_word("x1 x2 y2 x2^-1", 2).letters == L("x1", "x2", "y2", "x2^-1")
@@ -55,13 +94,18 @@ class TestParse:
         inner = commutator(parse_word("x2", 2), parse_word("y2", 2))
         assert w == commutator(parse_word("x1", 2), inner)
 
-    @pytest.mark.parametrize("bad", [
-        "", "  ", "x0", "x3", "z1", "x1^0", "[x1,y1", "(x1", "x1)", "x1^",
-        "x1,y1", "x1 & y1",
-    ])
+    @pytest.mark.parametrize("bad", list(ERRORS))
     def test_errors(self, bad):
-        with pytest.raises(WordError):
+        with pytest.raises(WordError) as exc:
             parse_word(bad, 2)
+        assert str(exc.value) == ERRORS[bad]
+
+    @pytest.mark.parametrize("text,same", [
+        ("x1 ^ 2", "x1^2"), ("x1*^*2", "x1^2"), ("x1^0000000000000000002", "x1^2"),
+        ("x1^ -2", "x1^-2"), ("x1**x2", "x1 x2"), ("x1x2^2y1", "x1 x2^2 y1"),
+    ])
+    def test_equivalent_spellings(self, text, same):
+        assert parse_word(text, 2) == parse_word(same, 2)
 
     @pytest.mark.parametrize("text,genus,message", [
         ("[x1 x2]", 2, "expected ',' inside commutator bracket"),
