@@ -89,9 +89,14 @@ class Report(_Record):
         return "\n".join(lines)
 
 
-def analyze(genus: int, a: Word, b: Word) -> Report:
+def _check_genus(genus: int, a: Word, b: Word):
+    """Raise ValueError unless both words live at the requested genus."""
     if a.genus != genus or b.genus != genus:
         raise ValueError("word genus does not match the requested genus")
+
+
+def analyze(genus: int, a: Word, b: Word) -> Report:
+    _check_genus(genus, a, b)
     abs_a = abelianize(a)
     abs_b = abelianize(b)
     i_a = intersection(abs_a, abs_b)
@@ -134,10 +139,9 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     nonzero degree-2 coefficients, sequence a pair of basis indices; expected
     always equal.
     """
+    _check_genus(genus, a, b)
     # the twist path loads on demand: analyze does not need it
     from .expansion import _minus_D, _theta0_nums, bracket
-    if a.genus != genus or b.genus != genus:
-        raise ValueError("word genus does not match the requested genus")
     za, zb = _letter_counts(a), _letter_counts(b)
     if _pairing(za, zb):
         raise ValueError("twist cross-check requires algebraic intersection 0")

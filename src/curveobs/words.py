@@ -3,6 +3,8 @@
 A letter is encoded as a nonzero signed int ±(k+1), where k in 0..2g-1 indexes
 the generator (x_j -> 2(j-1), y_j -> 2j-1) and the sign is the exponent sign.
 Words are always stored freely reduced.
+
+`parse_word` reads the README's grammar, a generator atom per regex match.
 """
 
 from __future__ import annotations
@@ -144,10 +146,16 @@ _TOKEN_RE = re.compile(
     r"|(?P<comma>,))?"
 )
 
+# An optional exponent: separators, '^', separators, then an integer or none.
+_EXPONENT = r"(?:[\s*]*(?P<caret>\^)[\s*]*(?P<exp>-?[0-9]+)?)?"
+_EXPONENT_RE = re.compile(_EXPONENT)
+# A generator atom, such as `x3`, `y12^-2` or `x1 ^ 2`, in one match.
+_ATOM_RE = re.compile(r"[\s*]*(?P<gen>[xy](?P<index>[0-9]+))" + _EXPONENT)
+
 
 class _Parser:
-    """Recursive descent reading one token at a time, so memory follows the
-    letters built, which MAX_LETTERS bounds, not the length of the text."""
+    """Recursive descent reading a generator atom or one other token at a
+    time, so memory follows the letters built (MAX_LETTERS), not the text."""
 
     def __init__(self, text: str, genus: int):
         self.text = text
@@ -175,27 +183,28 @@ class _Parser:
     def parse_word(self) -> list[int]:
         letters: list[int] = []
         while True:
-            kind, _ = self.peek()
-            if kind in (None, "comma") or (kind == "close"):
+            m = _ATOM_RE.match(self.text, self.pos)
+            if m:
+                gen, index, caret, _ = m.groups()
+                # int() gets no more significant digits than MAX_GENUS has
+                digits = index.lstrip("0")
+                idx = int(digits) if 0 < len(digits) <= _GENUS_DIGITS else 0
+                if not 1 <= idx <= self.genus:
+                    raise WordError(f"generator index out of range "
+                                    f"1..{self.genus} in {_shown(gen)}")
+                # the letter of x_idx or y_idx, as `generator` encodes it
+                letter = 2 * idx - (gen[0] == "x")
+                self.pos = m.end()
+                letters.extend(self.power([letter], m) if caret else (letter,))
+            elif self.peek()[0] in (None, "comma", "close"):
                 return letters
-            letters.extend(self.parse_term())
+            else:
+                letters.extend(self.parse_term())
             _check_length(len(letters))
 
     def parse_term(self) -> list[int]:
         kind, text = self.take()
-        if kind == "gen":
-            # the token regex leaves only ASCII digits after x or y; an index
-            # with no significant digit, or more than MAX_GENUS has, is out
-            # of range without reaching int()
-            digits = text[1:].lstrip("0")
-            idx = int(digits) if 0 < len(digits) <= _GENUS_DIGITS else 0
-            if not 1 <= idx <= self.genus:
-                raise WordError(
-                    f"generator index out of range 1..{self.genus} in {_shown(text)}"
-                )
-            # the letter of x_idx or y_idx, as `generator` encodes it
-            base = [2 * idx - (text[0] == "x")]
-        elif kind == "zeta":
+        if kind == "zeta":
             base = list(boundary_word(self.genus).letters)
         elif kind == "int" and text == "1":
             base = []
@@ -224,17 +233,18 @@ class _Parser:
             self.depth -= 1
         else:
             raise WordError(f"unexpected token {text!r}")
-        return self.apply_exponent(base)
+        return self.power(base, _EXPONENT_RE.match(self.text, self.pos))
 
-    def apply_exponent(self, base: list[int]) -> list[int]:
-        kind, _ = self.peek()
-        if kind != "caret":
+    def power(self, base: list[int], m) -> list[int]:
+        """`base` to the exponent in match `m`, if any; reading goes on after."""
+        self.pos = m.end()
+        if m["caret"] is None:
             return base
-        self.take()
-        kind, text = self.take()
-        if kind != "int":
-            raise WordError(f"expected integer exponent, got {text!r}")
-        n = _bounded_int(text, MAX_LETTERS)
+        text = m["exp"]
+        if text is None:  # name what follows the '^' as a token
+            raise WordError(f"expected integer exponent, got {self.take()[1]!r}")
+        # up to 7 characters, int() reads what _bounded_int would, faster
+        n = int(text) if len(text) < 8 else _bounded_int(text, MAX_LETTERS)
         if n is None:
             # |n| > MAX_LETTERS: only the identity survives such a power
             if base:
@@ -292,9 +302,9 @@ def parse_word(text: str, genus: int) -> Word:
         raise WordError(f"genus must be >= 1, got {genus}")
     if genus > MAX_GENUS:
         raise WordError(f"genus must be <= {MAX_GENUS}, got {genus}")
-    parser = _Parser(text, genus)
-    if parser.peek()[0] is None:
+    if re.fullmatch(r"[\s*]*", text):
         raise WordError("empty input (use '1' for the identity)")
+    parser = _Parser(text, genus)
     letters = parser.parse_word()
     if parser.peek()[0] is not None:
         raise WordError(f"unexpected token {parser.peek()[1]!r}")
