@@ -1,28 +1,153 @@
 """Reference algebra: the slow, direct forms the tests and `selftest` hold
 the production path against. No subcommand but `selftest` loads this module.
 
-`wedge` and degree-3 exterior elements, the actions of degree 2 and 3 on
-homology, the symplectic form, the embeddings of exterior elements as
-tensors, the cyclic and derivation operators on tensors, the expansion
-`theta0`, and the twist derivation `L_theta` with the twist automorphism
-`johnson_twist`, each in its defining form; `johnson_twist` sums the whole
-exponential series at any degree bound. `expansion` builds theta0 and the
-twist as int numerators, the twist as one derivation step without building
-L, which holds at i_A = 0 only.
+`TruncTensor` is the degree-truncated completed tensor algebra over the
+homology basis: sparse maps from basis-index sequences (tuples over 0..2g-1)
+to exact rationals, stored as int numerators over one shared positive
+denominator in lowest terms, so every operation runs on ints; this module
+alone reads that format. Fractions enter only through the validating
+constructor, `TruncTensor(genus, maxdeg, {sequence: Fraction})`, and leave
+only through `coeff` and `terms`. Every operation discards terms above the
+degree bound; a tensor whose higher coefficients are not known is built at
+a lower degree bound instead, so every stored coefficient is exact.
+
+Each in its defining form: `wedge` and degree-3 exterior elements, their
+actions on homology, the symplectic form, the embeddings of exterior
+elements as tensors, the cyclic and derivation operators, the expansion
+`theta0`, the twist derivation `L_theta` and the twist automorphism
+`johnson_twist`, which sums the whole exponential series at any degree
+bound. `expansion` builds theta0 and the twist as int numerators, the twist
+as one derivation step without building L, which holds at i_A = 0 only;
+`twist_tensors` puts the sides `twist_consistency` compares in tensor form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 from .homology import HVec, basis_pairing, mate
-from .tensor import TruncTensor, _degree
+from .obstruction import TWIST_DEN, twist_consistency
 from .wedge import Wedge2, _Alternating, check_indices
-from .words import check_genus
+from .words import _Record, _set, check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
 # or raises degree and is nilpotent degreewise, so this bound is generous.
 _MAX_EXP_ITER = 64
+
+
+def _degree(item) -> int:
+    """Sort key of a (sequence, coefficient) item: its degree."""
+    return len(item[0])
+
+
+class TruncTensor(_Record):
+    __slots__ = ("genus", "maxdeg", "nums", "den")
+
+    def __init__(self, genus: int, maxdeg: int = 3,
+                 terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        """The tensor of {sequence: rational} terms: checks maxdeg >= 1, cuts
+        longer terms, and rejects an index outside 0..2g-1."""
+        if maxdeg < 1:
+            raise ValueError("degree bound must be >= 1")
+        kept = {tuple(s): Fraction(c) for s, c in (terms or {}).items()
+                if len(s) <= maxdeg}
+        check_indices(genus, kept)
+        den = lcm(*(c.denominator for c in kept.values()))
+        self._fill(genus, maxdeg, {s: c.numerator * (den // c.denominator)
+                                   for s, c in kept.items()}, den)
+
+    @classmethod
+    def _make(cls, genus: int, maxdeg: int, nums: dict[tuple[int, ...], int],
+              den: int) -> "TruncTensor":
+        """The tensor of int numerators over den > 0, unchecked."""
+        return object.__new__(cls)._fill(genus, maxdeg, nums, den)
+
+    def _fill(self, genus, maxdeg, nums, den):
+        """Set the fields to the canonical form of int numerators over den > 0,
+        zeros dropped and the common factor divided out, and return self."""
+        nums = {s: c for s, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {s: c // g for s, c in nums.items()}
+            den //= g
+        for field, value in zip(self.__slots__, (genus, maxdeg, nums, den)):
+            _set(self, field, value)
+        return self
+
+    def __reduce__(self):
+        """(`_make`, field values): copies rebuild from the int fields."""
+        return TruncTensor._make, (self.genus, self.maxdeg, self.nums, self.den)
+
+    @classmethod
+    def one(cls, genus: int, maxdeg: int = 3) -> "TruncTensor":
+        return cls(genus, maxdeg, {(): 1})
+
+    @classmethod
+    def from_hvec(cls, v: HVec, maxdeg: int = 3) -> "TruncTensor":
+        return cls(v.genus, maxdeg, {(k,): c for k, c in enumerate(v.coords)})
+
+    def _check(self, other: "TruncTensor"):
+        check_genus(self, other)
+        if self.maxdeg != other.maxdeg:
+            raise ValueError(f"degree-bound mismatch: {self.maxdeg} vs {other.maxdeg}")
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, by sequence, in a new dict."""
+        return {s: Fraction(c, self.den) for s, c in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def coeff(self, seq) -> Fraction:
+        return Fraction(self.nums.get(tuple(seq), 0), self.den)
+
+    def degree_part(self, k: int) -> "TruncTensor":
+        return TruncTensor._make(
+            self.genus, self.maxdeg,
+            {s: c for s, c in self.nums.items() if len(s) == k}, self.den)
+
+    def __add__(self, other: "TruncTensor") -> "TruncTensor":
+        self._check(other)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = {s: c * m1 for s, c in self.nums.items()}
+        for s, c in other.nums.items():
+            out[s] = out.get(s, 0) + c * m2
+        return TruncTensor._make(self.genus, self.maxdeg, out, den)
+
+    def __sub__(self, other: "TruncTensor") -> "TruncTensor":
+        return self + (-other)
+
+    def __neg__(self) -> "TruncTensor":
+        return self.scale(-1)
+
+    def scale(self, c) -> "TruncTensor":
+        c = Fraction(c)
+        p = c.numerator
+        return TruncTensor._make(self.genus, self.maxdeg,
+                                 {s: p * v for s, v in self.nums.items()},
+                                 self.den * c.denominator)
+
+    def __mul__(self, other: "TruncTensor") -> "TruncTensor":
+        self._check(other)
+        out: dict[tuple[int, ...], int] = {}
+        D = self.maxdeg
+        right = sorted(other.nums.items(), key=_degree)
+        for s1, c1 in self.nums.items():
+            room = D - len(s1)
+            for s2, c2 in right:
+                if len(s2) > room:
+                    break
+                s = s1 + s2
+                out[s] = out.get(s, 0) + c1 * c2
+        return TruncTensor._make(self.genus, D, out, self.den * other.den)
+
+    def __repr__(self):
+        return (f"TruncTensor(genus={self.genus}, maxdeg={self.maxdeg}, "
+                f"terms={self.terms!r})")
 
 
 class Wedge3(_Alternating):
@@ -45,7 +170,7 @@ def wedge(u: HVec, v: HVec) -> Wedge2:
 def act2(w: Wedge2, z: HVec) -> HVec:
     """(X^Y)(Z) = (Z.X)Y - (Z.Y)X, extended bilinearly."""
     check_genus(w, z)
-    check_indices(w)
+    check_indices(w.genus, w.terms)
     out = [Fraction(0)] * (2 * w.genus)
     for (i, j), c in w.terms.items():
         out[j] += c * _pair_with_basis(z, i)
@@ -175,3 +300,10 @@ def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
             return out
         out = out + term
     raise AssertionError("twist exponential failed to terminate")
+
+
+def twist_tensors(genus, a, b):
+    """`twist_consistency(genus, a, b)` with each side as the degree-2
+    `TruncTensor` its numerators over `TWIST_DEN` make."""
+    ok, *sides = twist_consistency(genus, a, b)
+    return (ok, *(TruncTensor._make(genus, 2, t, TWIST_DEN) for t in sides))

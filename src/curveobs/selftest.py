@@ -14,11 +14,9 @@ from fractions import Fraction
 
 from .ell import ell, ell_of_letters
 from .homology import HVec, abelianize, intersection, lattice_member
-from .obstruction import (TWIST_DEN, VERDICT_INCONCLUSIVE, analyze,
-                          twist_consistency)
-from .reference import (L_theta, act2, embed3, johnson_twist, omega, wedge,
-                        wedge3)
-from .tensor import TruncTensor
+from .obstruction import VERDICT_INCONCLUSIVE, analyze, twist_consistency
+from .reference import (L_theta, TruncTensor, act2, embed3, johnson_twist,
+                        omega, wedge, wedge3)
 from .words import (boundary_word, commutator, format_word, generator,
                     parse_word, random_word_rng)
 
@@ -57,13 +55,6 @@ def _describe(rep):
 def _L_of(w):
     """The twist derivation datum of a word."""
     return L_theta(abelianize(w), ell(w))
-
-
-def twist_tensors(genus, a, b):
-    """`twist_consistency(genus, a, b)` with each side as the degree-2
-    `TruncTensor` its numerators over `TWIST_DEN` make."""
-    ok, *sides = twist_consistency(genus, a, b)
-    return (ok, *(TruncTensor._make(genus, 2, t, TWIST_DEN) for t in sides))
 
 
 def criterion_01_golden_example(rng, n):
@@ -147,8 +138,7 @@ def criterion_05_twist_lemma(rng, n):
         b = random_word_rng(g, rng.randint(0, 8), rng)
         if intersection(abelianize(a), abelianize(b)) != 0:
             continue
-        consistent, lhs, rhs = twist_tensors(g, a, b)
-        if not (consistent and lhs == rhs):
+        if not twist_consistency(g, a, b)[0]:
             raise SelfTestFailure(f"genus {g}, a = {a}, b = {b}")
         done += 1
     return n

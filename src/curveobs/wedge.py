@@ -79,15 +79,16 @@ class Wedge2(_Alternating):
                             for (i, j), c in sorted(self.terms.items()))
 
 
-def check_indices(w: _Alternating):
-    """Raise ValueError if a term of w has a basis index outside 0..2g-1.
-    The functions that take a `Wedge2` as input run it; `make` does not, as
-    the `ell` fold builds only valid indices. One pass gathers the indices;
-    the keys are scanned only to name a bad one."""
-    n = 2 * w.genus
-    used = set(chain.from_iterable(w.terms))
+def check_indices(genus: int, keys):
+    """Raise ValueError naming the first index tuple of keys with a basis
+    index outside 0..2g-1. The functions that take a `Wedge2` as input run
+    it, as does the `TruncTensor` constructor; `make` does not, as the `ell`
+    fold builds only valid indices. One pass gathers the indices; the keys
+    are scanned only to name a bad one."""
+    n = 2 * genus
+    used = set(chain.from_iterable(keys))
     if used and (min(used) < 0 or max(used) >= n):
-        for key in w.terms:
+        for key in keys:
             if not all(0 <= i < n for i in key):
                 raise ValueError(f"basis index out of range in {key}")
 
@@ -95,6 +96,6 @@ def check_indices(w: _Alternating):
 def _int_terms(w: Wedge2, d: int) -> list[tuple[int, int, int]]:
     """The (i, j, numerator) terms of w over d, a multiple of every
     coefficient's denominator, once `check_indices` passes."""
-    check_indices(w)
+    check_indices(w.genus, w.terms)
     return [(i, j, c.numerator * (d // c.denominator))
             for (i, j), c in w.terms.items()]

@@ -473,7 +473,7 @@ class TestImportFootprint:
         assert proc.stdout == "[]\n"
 
     # the twist path and the reference algebra: `analyze` needs none of them
-    TWIST = ("curveobs.tensor", "curveobs.expansion", "curveobs.reference")
+    TWIST = ("curveobs.expansion", "curveobs.reference")
 
     def loaded_after(self, *argv):
         """The TWIST modules loaded by a fresh process that runs the CLI
@@ -512,13 +512,13 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['curveobs.expansion']\n"
 
-    def test_reference_loads_tensor_but_not_expansion(self):
+    def test_reference_loads_no_expansion(self):
         # the reference twist sums its own series; the one-step production
         # twist is not among its dependencies
         proc = self.python("-c", "import sys, curveobs.reference; print(sorted("
                            f"m for m in {self.TWIST!r} if m in sys.modules))")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['curveobs.reference', 'curveobs.tensor']\n"
+        assert proc.stdout == "['curveobs.reference']\n"
 
     def test_star_import_resolves_every_exported_name(self):
         proc = self.python("-c", "from curveobs import *\nimport curveobs\n"

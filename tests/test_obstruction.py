@@ -14,8 +14,7 @@ from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
 from curveobs.reference import (L_theta, Wedge3, act3, embed2, johnson_twist,
-                                theta0, wedge)
-from curveobs.selftest import twist_tensors
+                                theta0, twist_tensors, wedge)
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 

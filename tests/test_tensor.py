@@ -9,11 +9,9 @@ from curveobs.expansion import _minus_D, _theta0_nums
 from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
                                mate)
 from curveobs.obstruction import analyze
-from curveobs.reference import (L_theta, act2, cyclic_N, derive, embed2,
-                                embed3, johnson_twist, omega, theta0, wedge,
-                                wedge3)
-from curveobs.selftest import twist_tensors
-from curveobs.tensor import TruncTensor
+from curveobs.reference import (L_theta, TruncTensor, act2, cyclic_N, derive,
+                                embed2, embed3, johnson_twist, omega, theta0,
+                                twist_tensors, wedge, wedge3)
 from curveobs.wedge import Wedge2
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
@@ -586,6 +584,22 @@ class TestTwistFastPaths:
                      lambda: embed2(omega(1), 0)):
             with pytest.raises(ValueError, match="degree bound"):
                 make()
+
+    @pytest.mark.parametrize("g", (1, 2, 5))
+    def test_first_index_past_each_end_is_named(self, g):
+        # -1 and 2g, next to valid terms that reach 0 and 2g - 1; the message
+        # names the bad sequence, the valid terms alone pass, and a bad term
+        # cut by the degree bound is never checked
+        n = 2 * g
+        ok = {(0,): 1, (n - 1, 0): 2, (0, 1, n - 1): 3}
+        assert TruncTensor(g, 3, ok).terms == ok
+        for bad in ((-1,), (n,), (0, n), (n - 1, -1, 0)):
+            with pytest.raises(ValueError) as exc:
+                TruncTensor(g, 3, {(0,): 1, bad: 5, **ok})
+            assert str(exc.value) == f"basis index out of range in {bad}"
+            cut = {s: c for s, c in ok.items() if len(s) < len(bad)}
+            if cut:
+                assert TruncTensor(g, len(bad) - 1, {**cut, bad: 5}).terms == cut
 
     def test_builders_keep_the_constructor_checks(self):
         # theta0 and L_theta compose embed2 and the ring operations, and

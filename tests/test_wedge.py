@@ -7,9 +7,9 @@ import pytest
 
 from curveobs.ell import obstruction_vector
 from curveobs.homology import HVec, intersection
-from curveobs.reference import (L_theta, Wedge3, act2, act3, derive, embed2,
-                                embed3, omega, theta0, wedge, wedge3)
-from curveobs.tensor import TruncTensor
+from curveobs.reference import (L_theta, TruncTensor, Wedge3, act2, act3,
+                                derive, embed2, embed3, omega, theta0, wedge,
+                                wedge3)
 from curveobs.wedge import Wedge2
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
@@ -248,8 +248,8 @@ COPIES = [copy.copy, copy.deepcopy] + [
 
 
 class TestRecords:
-    """Wedge2 and Wedge3 are immutable values, equal by value within one
-    class; their dict of terms makes them unhashable."""
+    """Wedge2, Wedge3 and TruncTensor are immutable values, equal by value
+    within one class; their dicts of terms make them unhashable."""
 
     def test_equality(self):
         w = Wedge2(2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1)})
@@ -262,19 +262,31 @@ class TestRecords:
         assert Wedge3(2, {(0, 1, 2): Fraction(1)}) == Wedge3(2, {(0, 1, 2): 1})
         assert w != (2, w.terms)
 
+        t = TruncTensor(2, 2, {(0,): Fraction(1, 2), (1, 2): -1})
+        assert t == TruncTensor(maxdeg=2, genus=2, terms={
+            (1, 2): Fraction(-2, 2), (3,): 0, (0,): Fraction(1, 2)})
+        assert t == (TruncTensor.from_hvec(HVec.basis(2, X1), 2).scale(
+            Fraction(1, 2)) - TruncTensor(2, 2, {(1, 2): 1}))
+        assert t != TruncTensor(2, 3, t.terms) and t != TruncTensor(3, 2, t.terms)
+        assert t != -t and t != (2, 2, t.nums, t.den)
+        assert TruncTensor(1, 2) != Wedge2.zero(1)
+        assert Wedge2.zero(1) != TruncTensor(1, 2)
+
     def test_unhashable(self):
-        for obj in (Wedge2.zero(1), omega(2), Wedge3.zero(2)):
+        for obj in (Wedge2.zero(1), omega(2), Wedge3.zero(2),
+                    TruncTensor(1, 2), TruncTensor.one(2)):
             with pytest.raises(TypeError):
                 hash(obj)
 
     def test_fields_cannot_be_set_or_deleted(self):
-        for obj in (omega(2), Wedge3.zero(2)):
-            for field in ("genus", "terms"):
+        for obj in (omega(2), Wedge3.zero(2), TruncTensor.one(2)):
+            for field in obj.__slots__:
                 with pytest.raises(AttributeError):
                     setattr(obj, field, {})
                 with pytest.raises(AttributeError):
                     delattr(obj, field)
         assert omega(1) == Wedge2(1, {(0, 1): 1})
+        assert TruncTensor.one(2) == TruncTensor(2, 3, {(): 1})
 
     def test_repr(self):
         assert repr(omega(2)) == (
@@ -283,10 +295,18 @@ class TestRecords:
         assert repr(Wedge3.make(2, [((2, 0, 1), Fraction(-1, 2))])) == (
             "Wedge3(genus=2, terms={(0, 1, 2): Fraction(-1, 2)})")
         assert repr(Wedge2.zero(3)) == "Wedge2(genus=3, terms={})"
+        assert repr(TruncTensor(2, 2, {(1, 0): Fraction(-1, 2), (): 1,
+                                       (3, 2, 1): 5, (2,): 0})) == (
+            "TruncTensor(genus=2, maxdeg=2, terms={(1, 0): Fraction(-1, 2), "
+            "(): Fraction(1, 1)})")
+        assert repr(TruncTensor(1, 1)) == (
+            "TruncTensor(genus=1, maxdeg=1, terms={})")
 
     @pytest.mark.parametrize("copier", COPIES)
     def test_copies(self, copier):
         for obj in (omega(2), Wedge2.zero(1),
-                    Wedge3.make(2, [((0, 1, 2), Fraction(1, 3))])):
+                    Wedge3.make(2, [((0, 1, 2), Fraction(1, 3))]),
+                    TruncTensor(2, 3, {(0, 3, 1): Fraction(-2, 3), (): 4}),
+                    TruncTensor(1, 1)):
             c = copier(obj)
             assert type(c) is type(obj) and c == obj and repr(c) == repr(obj)
