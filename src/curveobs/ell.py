@@ -6,16 +6,16 @@ extended by the cocycle rule ell(uv) = ell(u) + ell(v) + 1/2 |u|^|v|. The fold
 is evaluated on raw letter sequences and is invariant under free reduction.
 It keeps the class of the prefix as a sparse int dict, so a letter's new terms
 cost one per generator the prefix touches; the running sum is a Wedge2, put in
-canonical form once per letter.
+canonical form once per letter. The obstruction vector does not read ell: it
+is read off the letters in one int pass per word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .homology import HVec, basis_pairing, mate
-from .wedge import Wedge2, _int_terms
+from .homology import HVec, _letter_counts
+from .wedge import Wedge2
 from .words import Word, check_genus
 
 
@@ -48,31 +48,32 @@ def ell(w: Word) -> Wedge2:
     return ell_of_letters(w.genus, w.letters)
 
 
-def _obstruction_numerators(za, ea, zb, eb) -> list[int]:
-    """The numerators of v = ell(a)(|b|) + ell(b)(|a|) from those of |a|, |b|
-    (coordinate lists za, zb) and ell(a), ell(b) ((i, j, n) terms ea, eb):
-    over d d' when the classes are over d and the ell terms over d'."""
-    out = [0] * len(za)
-    for e, z in ((ea, zb), (eb, za)):
-        # dz[i] = z . e_i; act2: (X_i^X_j)(z) = (z . e_i) X_j - (z . e_j) X_i
-        dz = [basis_pairing(mate(i), i) * z[mate(i)] for i in range(len(out))]
-        for i, j, n in e:
-            out[j] += n * dz[i]
-            out[i] -= n * dz[j]
-    return out
+def _twice_ell_on(letters, z) -> list[int]:
+    """2 ell(w)(z) as ints, for w a letter sequence, reduced or not, and z an
+    int coordinate list, without building ell(w). With e_k the k-th letter's
+    signed basis vector, P_k = e_1 + ... + e_k and q_k = z . P_k, the prefix
+    terms sum_k P_(k-1) ^ e_k of 2 ell(w) send z to
+    sum_k (q_(k-1) + q_k) e_k - q_n |w|; its own terms (c_x - c_y) X_j^Y_j,
+    for c the exponent sums, send z to -(c_x - c_y)(z_x X_j + z_y Y_j)."""
+    out = [0] * len(z)
+    counts = [0] * len(z)
+    q = 0
+    for l in letters:
+        k = abs(l) - 1
+        s = 1 if l > 0 else -1
+        # z . e_k: z_x for k the index of y, -z_y for k the index of x
+        dq = s * z[k - 1] if k & 1 else -s * z[k + 1]
+        out[k] += s * (2 * q + dq)
+        q += dq
+        counts[k] += s
+    return [n - q * c - (counts[i & ~1] - counts[i | 1]) * zi
+            for i, (n, c, zi) in enumerate(zip(out, counts, z))]
 
 
-def obstruction_vector(abs_a: HVec, ell_a: Wedge2,
-                       abs_b: HVec, ell_b: Wedge2) -> HVec:
-    """v = ell(a) acting on |b| plus ell(b) acting on |a|: the sum of
-    `reference.act2`, taken on int numerators over the common denominator d
-    of the inputs."""
-    for x in (abs_b, ell_a, ell_b):
-        check_genus(abs_a, x)
-    d = lcm(*(c.denominator for x in (abs_a, abs_b) for c in x.coords),
-            *(c.denominator for w in (ell_a, ell_b) for c in w.terms.values()))
-    ea, eb = _int_terms(ell_a, d), _int_terms(ell_b, d)
-    za, zb = ([c.numerator * (d // c.denominator) for c in x.coords]
-              for x in (abs_a, abs_b))
-    return HVec(abs_a.genus, tuple(Fraction(x, d * d) for x in
-                                   _obstruction_numerators(za, ea, zb, eb)))
+def obstruction_vector(a: Word, b: Word) -> HVec:
+    """v = ell(a) acting on |b| plus ell(b) acting on |a|, the sum of
+    `reference.act2`: 2v from the letters, over 2."""
+    check_genus(a, b)
+    za, zb = _letter_counts(a), _letter_counts(b)
+    return HVec(a.genus, tuple(Fraction(x + y, 2) for x, y in zip(
+        _twice_ell_on(a.letters, zb), _twice_ell_on(b.letters, za))))

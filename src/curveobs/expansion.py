@@ -1,7 +1,8 @@
 """What the twist cross-check runs, on int numerators: the degree-2
 expansion of a word, the twist along a word applied to it, and the closed
-form it is compared with. Each function returns a plain
-{sequence: numerator} dict, and this module loads no reference code.
+form it is compared with, whose v is read off the letters and not from ell.
+Each function returns a plain {sequence: numerator} dict, and this module
+loads no reference code.
 
 Only the degree <= 2 coefficients of the expansion are pinned down by the
 generator values of ell, so theta0 is built at degree bound 2. The twist is

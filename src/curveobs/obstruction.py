@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 
-from .ell import _obstruction_numerators, ell, obstruction_vector
+from .ell import _twice_ell_on, ell, obstruction_vector
 from .homology import (HVec, LatticeWitness, _letter_counts, _pairing,
                        abelianize, intersection, lattice_member)
-from .wedge import Wedge2, _int_terms
+from .wedge import Wedge2
 from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -107,7 +107,7 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
         witness = None
         verdict = VERDICT_HOMOLOGICAL
     else:
-        v = obstruction_vector(abs_a, ell_a, abs_b, ell_b)
+        v = obstruction_vector(a, b)
         witness = lattice_member(v, abs_a, abs_b)
         verdict = VERDICT_INCONCLUSIVE if witness.member else VERDICT_THEOREM
     return Report(
@@ -128,11 +128,12 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
 def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     """Compare the degree-2 change of b's expansion under the twist along a
     (derivation-exponential path) against the closed form |a| ^ v, as the
-    commutator |a| v - v |a|. Both sides come from one int datum, built
-    without a report: |a| and |b| from letter counts, ell(a) and ell(b) from
-    one `ell` call each, read as int numerators over 2, and v from the int
-    core of `obstruction_vector`. At i_A = 0 the twist is one application of
-    the derivation of L(a), in contraction form (see `expansion`).
+    commutator |a| v - v |a|, from letter counts and without a report. The
+    twisted side reads ell(a) and ell(b) as int numerators over 2; the closed
+    form reads 2v off the letters, as `obstruction_vector` does, and not
+    ell, so the sides agree only if ell gives v up to a multiple of |a|.
+    At i_A = 0 the twist is one application of the derivation of L(a), in
+    contraction form (see `expansion`).
 
     Returns (equal, twisted side, closed-form side), each side a
     {sequence: int} dict of the numerators over `TWIST_DEN` = 32 of its
@@ -147,12 +148,13 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
         raise ValueError("twist cross-check requires algebraic intersection 0")
     # ell takes values in 1/2 Z, so its numerators over 2 are ints, and the
     # cores take |a| and |b| over 2 too
-    ea, eb = _int_terms(ell(a), 2), _int_terms(ell(b), 2)
+    ea, eb = ([(i, j, c.numerator * (2 // c.denominator))
+               for (i, j), c in ell(w).terms.items()] for w in (a, b))
     ha = [(i, 2 * p) for i, p in enumerate(za) if p]
     hb = [(i, 2 * p) for i, p in enumerate(zb) if p]
     # theta0(b) is over 2 2 2 and -D adds 2 2: the twisted side is over 32;
     # v is over 2, so |a| over 1 times 16 v puts the closed form over 32
     lhs = _minus_D(ha, ea, _theta0_nums(hb, eb, 2))
-    rhs = bracket(za, [16 * x for x in
-                        _obstruction_numerators(za, ea, zb, eb)])
+    rhs = bracket(za, [16 * (x + y) for x, y in zip(
+        _twice_ell_on(a.letters, zb), _twice_ell_on(b.letters, za))])
     return lhs == rhs, lhs, rhs

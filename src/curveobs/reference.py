@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .homology import HVec, basis_pairing, mate
 from .obstruction import TWIST_DEN, twist_consistency
-from .wedge import Wedge2, _Alternating, check_indices
+from .wedge import Wedge2, _Alternating
 from .words import _Record, _set, check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
@@ -40,6 +41,20 @@ _MAX_EXP_ITER = 64
 def _degree(item) -> int:
     """Sort key of a (sequence, coefficient) item: its degree."""
     return len(item[0])
+
+
+def check_indices(genus: int, keys):
+    """Raise ValueError naming the first index tuple of keys with a basis
+    index outside 0..2g-1; `act2` and the `TruncTensor` constructor run it,
+    and `Wedge2.make` does not, as the `ell` fold builds only valid indices.
+    One pass gathers the indices; the keys are scanned only to name a bad
+    one."""
+    n = 2 * genus
+    used = set(chain.from_iterable(keys))
+    if used and (min(used) < 0 or max(used) >= n):
+        for key in keys:
+            if not all(0 <= i < n for i in key):
+                raise ValueError(f"basis index out of range in {key}")
 
 
 class TruncTensor(_Record):

@@ -1,12 +1,12 @@
 """Exterior powers of the homology as the production path uses them: the
 alternating arithmetic and degree 2, `Wedge2`. The wedge of two homology
-vectors, degree 3, the tensor embeddings and the actions on homology vectors
-are in `reference`."""
+vectors, degree 3, the tensor embeddings, the actions on homology vectors and
+the basis-index check are in `reference`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 from .homology import basis_label, format_terms
 from .words import _Record, _set, check_genus
@@ -77,25 +77,3 @@ class Wedge2(_Alternating):
     def __str__(self) -> str:
         return format_terms((f"{basis_label(i)}^{basis_label(j)}", c)
                             for (i, j), c in sorted(self.terms.items()))
-
-
-def check_indices(genus: int, keys):
-    """Raise ValueError naming the first index tuple of keys with a basis
-    index outside 0..2g-1. The functions that take a `Wedge2` as input run
-    it, as does the `TruncTensor` constructor; `make` does not, as the `ell`
-    fold builds only valid indices. One pass gathers the indices; the keys
-    are scanned only to name a bad one."""
-    n = 2 * genus
-    used = set(chain.from_iterable(keys))
-    if used and (min(used) < 0 or max(used) >= n):
-        for key in keys:
-            if not all(0 <= i < n for i in key):
-                raise ValueError(f"basis index out of range in {key}")
-
-
-def _int_terms(w: Wedge2, d: int) -> list[tuple[int, int, int]]:
-    """The (i, j, numerator) terms of w over d, a multiple of every
-    coefficient's denominator, once `check_indices` passes."""
-    check_indices(w.genus, w.terms)
-    return [(i, j, c.numerator * (d // c.denominator))
-            for (i, j), c in w.terms.items()]

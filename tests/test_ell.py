@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curveobs.ell import ell, ell_of_letters, obstruction_vector
+from curveobs.ell import _twice_ell_on, ell, ell_of_letters, obstruction_vector
 from curveobs.homology import HVec, abelianize
 from curveobs.reference import act2, omega, wedge
 from curveobs.wedge import Wedge2
@@ -108,65 +108,55 @@ class TestCoefficientsAreFractions:
                 assert all(type(c) is Fraction for c in x.terms.values()), x
 
 
-def v_of(a, b):
-    return obstruction_vector(abelianize(a), ell(a), abelianize(b), ell(b))
-
-
 class TestObstructionVector:
     def test_paper_example(self):
         a = parse_word("x1 x2 y2 x2^-1", 2)
         b = parse_word("y2 x1^-1", 2)
-        assert v_of(a, b) == HVec.basis(2, X1)
+        assert obstruction_vector(a, b) == HVec.basis(2, X1)
 
     def test_remark_zero(self):
         a = parse_word("x1", 2)
         b = parse_word("x2^-1", 2)
-        assert v_of(a, b).is_zero()
+        assert obstruction_vector(a, b).is_zero()
 
     def test_remark_minus_a(self):
         a = parse_word("x1", 2)
         b = parse_word("x2^-1 [y1,zeta] zeta", 2)
-        assert v_of(a, b) == -HVec.basis(2, X1)
+        assert obstruction_vector(a, b) == -HVec.basis(2, X1)
 
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
-            v_of(parse_word("x1", 1), parse_word("x1", 2))
+            obstruction_vector(parse_word("x1", 1), parse_word("x1", 2))
 
 
-# --- the int obstruction vector against the act2 reference ------------------
+# --- v read off the letters against the act2 reference ----------------------
 
-DENOMINATORS = (1, 2, 3, 4, 6)
-
-
-def rational(rng):
-    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
-
-
-def rational_hvec(genus, rng):
-    """Sparse, so that zero coordinates and zero vectors occur."""
-    return HVec.from_coords(genus, [rational(rng) if rng.random() < 0.5 else 0
-                                    for _ in range(2 * genus)])
+def unreduced_sequence(g, rng):
+    """Plain letters, and runs x x^-1 that return the prefix class to a value
+    it held before; empty about one time in nine."""
+    seq = []
+    for _ in range(rng.randint(0, 8)):
+        s = rng.choice([1, -1]) * rng.randrange(1, 2 * g + 1)
+        seq += rng.choice([[s], [s] * rng.randint(1, 3)
+                           + [-s] * rng.randint(1, 3), [s, -s, s]])
+    return seq
 
 
-def rational_wedge2(genus, rng):
-    n = 2 * genus
-    return Wedge2.make(genus, [((rng.randrange(n), rng.randrange(n)),
-                                rational(rng))
-                               for _ in range(rng.randint(0, 2 * n))])
+class TestTwiceEllOn:
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_unreduced_sequences(self, g):
+        rng = random.Random(340 + g)
+        for _ in range(60):
+            seq = unreduced_sequence(g, rng)
+            z = [rng.randint(-9, 9) for _ in range(2 * g)]
+            got = _twice_ell_on(seq, z)
+            want = act2(ell_of_letters(g, seq), HVec.from_coords(g, z))
+            assert got == [2 * c for c in want.coords], (seq, z)
+            assert all(type(n) is int for n in got)
+        assert _twice_ell_on([], z) == [0] * (2 * g)
 
 
 class TestObstructionVectorMatchesAct2:
-    @pytest.mark.parametrize("g", range(1, 13))
-    def test_random_rational_inputs(self, g):
-        rng = random.Random(300 + g)
-        for _ in range(100):
-            abs_a, abs_b = rational_hvec(g, rng), rational_hvec(g, rng)
-            ell_a, ell_b = rational_wedge2(g, rng), rational_wedge2(g, rng)
-            got = obstruction_vector(abs_a, ell_a, abs_b, ell_b)
-            assert got == act2(ell_a, abs_b) + act2(ell_b, abs_a), \
-                (abs_a, ell_a, abs_b, ell_b)
-            assert all(type(c) is Fraction for c in got.coords)
-
     @pytest.mark.parametrize("g", range(1, 13))
     def test_random_words(self, g):
         rng = random.Random(320 + g)
@@ -174,15 +164,16 @@ class TestObstructionVectorMatchesAct2:
             a = random_word_rng(g, rng.randint(0, 12), rng)
             b = random_word_rng(g, rng.randint(0, 12), rng)
             want = act2(ell(a), abelianize(b)) + act2(ell(b), abelianize(a))
-            assert v_of(a, b) == want, (a, b)
+            got = obstruction_vector(a, b)
+            assert got == want, (a, b)
+            assert all(type(c) is Fraction for c in got.coords)
 
     def test_every_genus_mismatch_is_rejected(self):
-        one, two = HVec.zero(1), HVec.zero(2)
-        w1, w2 = Wedge2.zero(1), Wedge2.zero(2)
-        for args in ((one, w1, two, w1), (one, w2, one, w1),
-                     (one, w1, one, w2), (two, w1, two, w1)):
-            with pytest.raises(ValueError):
-                obstruction_vector(*args)
+        one, two = parse_word("x1", 1), parse_word("x1", 2)
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValueError) as exc:
+                obstruction_vector(a, b)
+            assert str(exc.value) == f"genus mismatch: {a.genus} vs {b.genus}"
 
 
 # --- the sparse-prefix fold against the literal dense fold -------------------
@@ -208,13 +199,7 @@ class TestSparsePrefixMatchesDenseFold:
     def test_unreduced_sequences(self, g):
         rng = random.Random(500 + g)
         for _ in range(30):
-            seq = []
-            for _ in range(rng.randint(0, 8)):
-                s = rng.choice([1, -1]) * rng.randrange(1, 2 * g + 1)
-                # plain letters, and runs x x^-1 that return the prefix to a
-                # class it held before, so its entries drop back to zero
-                seq += rng.choice([[s], [s] * rng.randint(1, 3)
-                                   + [-s] * rng.randint(1, 3), [s, -s, s]])
+            seq = unreduced_sequence(g, rng)
             assert ell_of_letters(g, seq) == dense_ell_of_letters(g, seq), seq
         assert ell_of_letters(g, []) == dense_ell_of_letters(g, []) == Wedge2.zero(g)
 

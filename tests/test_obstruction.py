@@ -3,18 +3,21 @@ import importlib
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from curveobs.ell import ell, obstruction_vector
+from curveobs import cli
+from curveobs.ell import ell
 from curveobs.homology import HVec, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
-from curveobs.reference import (L_theta, Wedge3, act3, embed2, johnson_twist,
-                                theta0, twist_tensors, wedge)
+from curveobs.reference import (L_theta, Wedge3, act2, act3, embed2,
+                                johnson_twist, theta0, twist_tensors, wedge)
+from curveobs.wedge import Wedge2
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 
@@ -148,6 +151,11 @@ class TestVerdictInvariance:
         assert certified > 0
 
 
+def act2_v(abs_a, ell_a, abs_b, ell_b):
+    """v in its defining form, from any classes and any ell values."""
+    return act2(ell_a, abs_b) + act2(ell_b, abs_a)
+
+
 def expansion_shift(t, z):
     """How ell(w) moves when the symplectic expansion changes by t in
     Lambda^3 H: by the contraction of t with z = |w|."""
@@ -180,8 +188,8 @@ class TestExpansionIndependence:
                 t = Wedge3.make(g, [(t, 1)])
                 for a in basis:
                     for b in basis:
-                        moved = obstruction_vector(a, expansion_shift(t, a),
-                                                   b, expansion_shift(t, b))
+                        moved = act2_v(a, expansion_shift(t, a),
+                                       b, expansion_shift(t, b))
                         assert moved.is_zero(), (t, a, b)
                         checked += 1
         assert checked == 784  # 4 trivectors x 4 x 4 at genus 2, 20 x 6 x 6 at 3
@@ -201,7 +209,7 @@ class TestExpansionIndependence:
                                 for _ in range(rng.randint(1, 4))])
             ell_a = rep.ell_a + expansion_shift(t, rep.abs_a)
             ell_b = rep.ell_b + expansion_shift(t, rep.abs_b)
-            v = obstruction_vector(rep.abs_a, ell_a, rep.abs_b, ell_b)
+            v = act2_v(rep.abs_a, ell_a, rep.abs_b, ell_b)
             assert v == rep.v, (a, b, t)
             moved += (ell_a, ell_b) != (rep.ell_a, rep.ell_b)
             done += 1
@@ -311,6 +319,46 @@ class TestTwistConsistency:
             ok, lhs, rhs = twist_tensors(g, a, b)
             assert ok, (a, b, lhs.terms, rhs.terms)
             done += 1
+
+    def test_catches_an_ell_without_its_own_terms(self, monkeypatch, capsys):
+        # the closed form reads v off the letters, not ell, so an ell that
+        # drops the letters' own terms +-1/2 X_j^Y_j breaks the identity
+        # wherever the error is not |a| ^ u for some u: on some seeded pairs,
+        # and on a = x1 x2, b = x1, where the twisted side loses X1 X2 - X2 X1
+        # (the package exports the function ell, which hides the module)
+        ell_module = sys.modules["curveobs.ell"]
+        fold = ell_module.ell_of_letters
+
+        def without_own_terms(genus, letters):
+            counts = [0] * (2 * genus)
+            for l in letters:
+                counts[abs(l) - 1] += 1 if l > 0 else -1
+            own = Wedge2.make(genus, [
+                ((j, j + 1), Fraction(counts[j] - counts[j + 1], 2))
+                for j in range(0, 2 * genus, 2)])
+            return fold(genus, letters) - own
+
+        monkeypatch.setattr(ell_module, "ell_of_letters", without_own_terms)
+        rng = random.Random(12)
+        done = caught = 0
+        while done < 100:
+            g = rng.randint(2, 4)
+            a = random_word_rng(g, rng.randint(1, 10), rng)
+            b = random_word_rng(g, rng.randint(1, 10), rng)
+            if intersection(abelianize(a), abelianize(b)) != 0:
+                continue
+            caught += not twist_consistency(g, a, b)[0]
+            done += 1
+        assert caught > 20, caught
+        assert cli.main(["twist-check", "--genus", "2",
+                         "--a", "x1 x2", "--b", "x1"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "twist identity holds: False",
+            "derivation-exponential side: TruncTensor(genus=2, maxdeg=2, "
+            "terms={})",
+            "closed-form side:            TruncTensor(genus=2, maxdeg=2, "
+            "terms={(2, 0): Fraction(-1, 1), (0, 2): Fraction(1, 1)})",
+        ]
 
     def test_holds_even_with_commutator_padding(self):
         # the lemma is a pure algebraic identity at truncation 2; it holds for
