@@ -55,8 +55,7 @@ def _twice_ell_on(letters, z) -> list[int]:
     terms sum_k P_(k-1) ^ e_k of 2 ell(w) send z to
     sum_k (q_(k-1) + q_k) e_k - q_n |w|; its own terms (c_x - c_y) X_j^Y_j,
     for c the exponent sums, send z to -(c_x - c_y)(z_x X_j + z_y Y_j)."""
-    out = [0] * len(z)
-    counts = [0] * len(z)
+    out, counts = [0] * len(z), [0] * len(z)
     q = 0
     for l in letters:
         k = abs(l) - 1
@@ -70,10 +69,15 @@ def _twice_ell_on(letters, z) -> list[int]:
             for i, (n, c, zi) in enumerate(zip(out, counts, z))]
 
 
+def _twice_v(a: Word, za, b: Word, zb) -> list[int]:
+    """2v as ints, for words a and b with letter counts za = |a|, zb = |b|."""
+    return [x + y for x, y in zip(_twice_ell_on(a.letters, zb),
+                                  _twice_ell_on(b.letters, za))]
+
+
 def obstruction_vector(a: Word, b: Word) -> HVec:
     """v = ell(a) acting on |b| plus ell(b) acting on |a|, the sum of
     `reference.act2`: 2v from the letters, over 2."""
     check_genus(a, b)
-    za, zb = _letter_counts(a), _letter_counts(b)
-    return HVec(a.genus, tuple(Fraction(x + y, 2) for x, y in zip(
-        _twice_ell_on(a.letters, zb), _twice_ell_on(b.letters, za))))
+    return HVec(a.genus, tuple(Fraction(x, 2) for x in _twice_v(
+        a, _letter_counts(a), b, _letter_counts(b))))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .ell import _twice_ell_on, ell, obstruction_vector
+from .ell import _twice_v, ell, obstruction_vector
 from .homology import (HVec, LatticeWitness, _letter_counts, _pairing,
                        abelianize, intersection, lattice_member)
 from .wedge import Wedge2
@@ -130,8 +130,8 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     (derivation-exponential path) against the closed form |a| ^ v, as the
     commutator |a| v - v |a|, from letter counts and without a report. The
     twisted side reads ell(a) and ell(b) as int numerators over 2; the closed
-    form reads 2v off the letters, as `obstruction_vector` does, and not
-    ell, so the sides agree only if ell gives v up to a multiple of |a|.
+    form reads 2v off the letters (`ell._twice_v`) and not ell, so the sides
+    agree only if ell gives v up to a multiple of |a|.
     At i_A = 0 the twist is one application of the derivation of L(a), in
     contraction form (see `expansion`).
 
@@ -150,11 +150,9 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     # cores take |a| and |b| over 2 too
     ea, eb = ([(i, j, c.numerator * (2 // c.denominator))
                for (i, j), c in ell(w).terms.items()] for w in (a, b))
-    ha = [(i, 2 * p) for i, p in enumerate(za) if p]
-    hb = [(i, 2 * p) for i, p in enumerate(zb) if p]
+    ha, hb = ([(i, 2 * p) for i, p in enumerate(z) if p] for z in (za, zb))
     # theta0(b) is over 2 2 2 and -D adds 2 2: the twisted side is over 32;
     # v is over 2, so |a| over 1 times 16 v puts the closed form over 32
     lhs = _minus_D(ha, ea, _theta0_nums(hb, eb, 2))
-    rhs = bracket(za, [16 * (x + y) for x, y in zip(
-        _twice_ell_on(a.letters, zb), _twice_ell_on(b.letters, za))])
+    rhs = bracket(za, [16 * x for x in _twice_v(a, za, b, zb)])
     return lhs == rhs, lhs, rhs

@@ -6,9 +6,10 @@ corruptions of them, arbitrary text and edge genera, through `analyze` (one pair
 1 or 2, stderr holds no traceback, and exit 1 comes with an error message: on
 stderr, or as a JSON `error` line in batch mode.
 
-Tier-1 runs this file's small `cli-fuzz` profile. CI runs the larger `ci`
-profile: `python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=ci`.
-Both are derandomized, so a run is repeatable.
+The test runs under the loaded Hypothesis profile (see `conftest.py`): the
+small `cli-fuzz` one in Tier-1, the larger `ci` one with
+`python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=ci`. Both are
+derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -17,19 +18,11 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from curveobs.cli import main
 from curveobs.words import MAX_GENUS
-
-settings.register_profile(
-    "cli-fuzz", derandomize=True, max_examples=60, deadline=None,
-    database=None, suppress_health_check=[HealthCheck.too_slow])
-settings.register_profile("ci", settings.get_profile("cli-fuzz"),
-                          max_examples=1500)
-FUZZ = settings.get_profile(
-    "ci" if settings.get_current_profile_name() == "ci" else "cli-fuzz")
 
 # genus fields, each with the genus its words are drawn at: small ones, the
 # edge values, and text the genus rule rejects
@@ -139,7 +132,6 @@ def run(argv, batch):
     return code, out.getvalue(), err.getvalue()
 
 
-@FUZZ
 @given(calls())
 def test_exit_codes_and_messages_are_documented(call):
     argv, batch = call
