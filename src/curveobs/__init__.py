@@ -4,10 +4,9 @@ genus-g surface with one boundary component."""
 __version__ = "0.1.0"  # the one home of the version; pyproject.toml reads it
 
 from .ell import ell, ell_of_letters, obstruction_vector
-from .homology import (HVec, LatticeWitness, abelianize, intersection,
-                       is_integral, lattice_member)
+from .homology import (HVec, LatticeWitness, Wedge2, abelianize,
+                       intersection, is_integral, lattice_member)
 from .obstruction import Report, analyze, twist_consistency
-from .wedge import Wedge2
 from .words import (Word, WordError, boundary_word, commutator, format_word,
                     parse_word, random_commutator_element_rng,
                     random_word_rng)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .homology import HVec, _letter_counts
-from .wedge import Wedge2
+from .homology import HVec, Wedge2, _letter_counts
 from .words import Word, check_genus
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 
 from .ell import _twice_v, ell, obstruction_vector
-from .homology import (HVec, LatticeWitness, _letter_counts, _pairing,
-                       abelianize, intersection, lattice_member)
-from .wedge import Wedge2
+from .homology import (HVec, LatticeWitness, Wedge2, _letter_counts,
+                       _pairing, abelianize, intersection, lattice_member)
 from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"

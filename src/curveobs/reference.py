@@ -16,8 +16,10 @@ actions on homology, the symplectic form, the embeddings of exterior
 elements as tensors, the cyclic and derivation operators, the expansion
 `theta0`, the twist derivation `L_theta` and the twist automorphism
 `johnson_twist`, which sums the whole exponential series at any degree
-bound. `expansion` builds theta0 and the twist as int numerators, the twist
-as one derivation step without building L, which holds at i_A = 0 only;
+bound. `ell_by_theta0` reads ell off a product of `theta0`s, the oracle the
+`ell` fold is held against. `expansion` builds theta0 and the twist as int
+numerators, the twist as one derivation step without building L, which
+holds at i_A = 0 only;
 `twist_tensors` puts the sides `twist_consistency` compares in tensor form.
 """
 
@@ -28,9 +30,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .homology import HVec, basis_pairing, mate
+from .homology import HVec, Wedge2, _Alternating, basis_pairing, mate
 from .obstruction import TWIST_DEN, twist_consistency
-from .wedge import Wedge2, _Alternating
 from .words import _Record, _set, check_genus
 
 # exp(-L) on a degree <= 2 truncation: each derivation application either keeps
@@ -253,38 +254,47 @@ def cyclic_N(u: TruncTensor) -> TruncTensor:
     return TruncTensor._make(u.genus, u.maxdeg, out, u.den)
 
 
-def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
-    """Apply the derivation attached to h (degree >= 1 terms only) to u.
+def _derivation(h: TruncTensor):
+    """The derivation attached to h (degree >= 1 terms only), as a function
+    of the tensor u it applies to.
 
     h acts on a single homology factor Y by contracting the first factor:
     (X1...Xk)(Y) = (Y.X1) X2...Xk, and extends to u by the Leibniz rule.
     Truncation follows u; h may carry a higher degree bound.
 
     Only the terms of h whose first factor X is Y's symplectic mate pair
-    nonzero, with (Y.X) = +-1, so h is grouped by that mate in one pass;
+    nonzero, with (Y.X) = +-1, so h is grouped by that mate once, here;
     each group is sorted shortest tail first, and a scan stops at the first
     tail that does not fit.
     """
     if () in h.nums:
         raise ValueError("derivation datum must have zero constant term")
-    check_genus(h, u)
     images: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for s, c in h.nums.items():
         y = mate(s[0])
         images.setdefault(y, []).append((s[1:], basis_pairing(y, s[0]) * c))
     for tails in images.values():
         tails.sort(key=_degree)
-    D = u.maxdeg
-    out: dict[tuple[int, ...], int] = {}
-    for s, c in u.nums.items():
-        room = D - len(s) + 1
-        for p, y in enumerate(s):
-            for tail, hc in images.get(y, ()):
-                if len(tail) > room:
-                    break
-                t = s[:p] + tail + s[p + 1:]
-                out[t] = out.get(t, 0) + c * hc
-    return TruncTensor._make(u.genus, D, out, h.den * u.den)
+
+    def apply(u: TruncTensor) -> TruncTensor:
+        check_genus(h, u)
+        D = u.maxdeg
+        out: dict[tuple[int, ...], int] = {}
+        for s, c in u.nums.items():
+            room = D - len(s) + 1
+            for p, y in enumerate(s):
+                for tail, hc in images.get(y, ()):
+                    if len(tail) > room:
+                        break
+                    t = s[:p] + tail + s[p + 1:]
+                    out[t] = out.get(t, 0) + c * hc
+        return TruncTensor._make(u.genus, D, out, h.den * u.den)
+    return apply
+
+
+def derive(h: TruncTensor, u: TruncTensor) -> TruncTensor:
+    """Apply the derivation attached to h to u (see `_derivation`)."""
+    return _derivation(h)(u)
 
 
 def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
@@ -293,6 +303,24 @@ def theta0(abs_w: HVec, ell_w: Wedge2) -> TruncTensor:
     h = TruncTensor.from_hvec(abs_w, 2)
     return (TruncTensor.one(abs_w.genus, 2) + h + embed2(ell_w, 2)
             + (h * h).scale(Fraction(1, 2)))
+
+
+def ell_by_theta0(genus: int, letters) -> Wedge2:
+    """ell of a letter sequence, reduced or not, by another road than the
+    `ell` fold: the product of the letters' `theta0` tensors, whose degree-2
+    part is embedded ell plus 1/2 h h, for h the class of the sequence. The
+    generator values are x_j -> 1/2 X_j^Y_j and y_j -> -1/2 X_j^Y_j, and an
+    inverse flips the sign. As `embed2` sends X^Y to XY - YX and h h is
+    symmetric, the coefficient of X_i^X_j is half the difference of the
+    coefficients of X_i X_j and X_j X_i."""
+    out = TruncTensor.one(genus, 2)
+    for l in letters:
+        k, s = abs(l) - 1, 1 if l > 0 else -1
+        own = Wedge2(genus, {(k & ~1, k | 1): Fraction(-s if k & 1 else s, 2)})
+        out = out * theta0(HVec.basis(genus, k).scale(s), own)
+    n = 2 * genus
+    return Wedge2(genus, {(i, j): c for i in range(n) for j in range(i + 1, n)
+                          if (c := (out.coeff((i, j)) - out.coeff((j, i))) / 2)})
 
 
 def L_theta(abs_a: HVec, ell_a: Wedge2) -> TruncTensor:
@@ -308,9 +336,10 @@ def johnson_twist(L: TruncTensor, u: TruncTensor) -> TruncTensor:
     (-D)^k(u) / k!, for the derivation D attached to L = L_theta(|a|, ell(a)),
     with u cut to degree <= 2 first: the output is exact only that far, and
     D never lowers degree, so higher terms of u cannot reach it."""
+    D = _derivation(L)
     out = term = TruncTensor(u.genus, min(2, u.maxdeg), u.terms)
     for k in range(1, _MAX_EXP_ITER + 1):
-        term = derive(L, term).scale(Fraction(-1, k))
+        term = D(term).scale(Fraction(-1, k))
         if term.is_zero():
             return out
         out = out + term

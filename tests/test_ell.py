@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from curveobs.ell import _twice_ell_on, ell, ell_of_letters, obstruction_vector
-from curveobs.homology import HVec, abelianize
-from curveobs.reference import act2, omega, wedge
-from curveobs.wedge import Wedge2
+from curveobs.homology import HVec, Wedge2, abelianize
+from curveobs.reference import act2, ell_by_theta0, omega, wedge
 from curveobs.words import (Word, boundary_word, commutator, generator,
                             parse_word, random_word_rng)
 
@@ -209,3 +208,17 @@ class TestSparsePrefixMatchesDenseFold:
         for w in [boundary_word(g)] + [random_word_rng(g, rng.randint(0, 30), rng)
                                        for _ in range(10)]:
             assert ell(w) == dense_ell_of_letters(g, w.letters), w
+
+
+# --- the fold against the expansion, which shares no code with it ------------
+
+class TestFoldMatchesTheExpansion:
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_unreduced_sequences(self, g):
+        # `reference.ell_by_theta0` multiplies the letters' theta0 tensors
+        # and reads ell off their antisymmetric degree-2 part, from generator
+        # values of its own, so it calls nothing in `curveobs.ell`
+        rng = random.Random(560 + g)
+        seqs = [[]] + [unreduced_sequence(g, rng) for _ in range(50)]
+        for seq in seqs:
+            assert ell_of_letters(g, seq) == ell_by_theta0(g, seq), seq

@@ -31,8 +31,9 @@ def test_version_has_one_home():
 
 
 def test_no_exported_name_is_a_module():
-    # a submodule shares its package's namespace: `curveobs.wedge` is the
-    # module, not the reference function of that name
+    # a submodule shares its package's namespace: importing `curveobs.ell`
+    # binds the module to the name `ell`, and only the later
+    # `from .ell import ell` rebinds it to the exported function
     modules = [name for name in curveobs.__all__
                if inspect.ismodule(getattr(curveobs, name))]
     assert not modules, modules

@@ -11,13 +11,12 @@ import pytest
 
 from curveobs import cli
 from curveobs.ell import ell
-from curveobs.homology import HVec, abelianize, intersection
+from curveobs.homology import HVec, Wedge2, abelianize, intersection
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
 from curveobs.reference import (L_theta, Wedge3, act2, act3, embed2,
                                 johnson_twist, theta0, twist_tensors, wedge)
-from curveobs.wedge import Wedge2
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
 

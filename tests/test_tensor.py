@@ -6,13 +6,12 @@ import pytest
 
 from curveobs.ell import ell
 from curveobs.expansion import _minus_D, _theta0_nums
-from curveobs.homology import (HVec, abelianize, basis_pairing, intersection,
-                               mate)
+from curveobs.homology import (HVec, Wedge2, abelianize, basis_pairing,
+                               intersection, mate)
 from curveobs.obstruction import analyze
 from curveobs.reference import (L_theta, TruncTensor, act2, cyclic_N, derive,
                                 embed2, embed3, johnson_twist, omega, theta0,
                                 twist_tensors, wedge, wedge3)
-from curveobs.wedge import Wedge2
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from curveobs.homology import HVec, intersection
+from curveobs.homology import HVec, Wedge2, intersection
 from curveobs.reference import (L_theta, TruncTensor, Wedge3, act2, act3,
                                 derive, embed2, embed3, omega, theta0, wedge,
                                 wedge3)
-from curveobs.wedge import Wedge2
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 
