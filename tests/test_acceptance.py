@@ -1,6 +1,14 @@
-"""Acceptance suite: the ten criteria of curveobs.selftest at their full seeds
-and counts, printing one PASS/FAIL line per criterion (visible under
-``pytest -s`` or in the captured-output section of a failure).
+"""Acceptance suite, the tests of `curveobs.selftest`: the ten criteria at
+their full seeds and counts, printing one PASS/FAIL line per criterion
+(visible under ``pytest -s`` or in the captured-output section of a failure).
+
+The criteria are the one home of the properties they check: `ell` of the
+boundary word and the omega action (3), the `ell` identities (4), the twist
+lemma (5), the degree-3 dual path (6), the classical twist formula (7),
+verdict conjugation invariance (8), same-curve inconclusiveness (9) and
+lattice membership against a scan (10). A module's own test file checks
+only what the criteria do not: other ranges, other inputs, or a slower
+independent form of the same value.
 """
 
 import random

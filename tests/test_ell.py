@@ -1,3 +1,11 @@
+"""Tests of `curveobs.ell`: golden values of `ell`, its half-integrality and
+Fraction coefficients, the obstruction vector, and the fold against three
+slower forms (`act2` on the fold's output, the dense fold, and
+`reference.ell_by_theta0`). Acceptance criteria 3 and 4
+(`test_acceptance.py`) check `ell` of the boundary word and the cocycle,
+inverse, conjugation, commutator and trivial-pair identities.
+"""
+
 import random
 from fractions import Fraction
 
@@ -5,9 +13,9 @@ import pytest
 
 from curveobs.ell import _twice_ell_on, ell, ell_of_letters, obstruction_vector
 from curveobs.homology import HVec, Wedge2, abelianize
-from curveobs.reference import act2, ell_by_theta0, omega, wedge
-from curveobs.words import (Word, boundary_word, commutator, generator,
-                            parse_word, random_word_rng)
+from curveobs.reference import act2, ell_by_theta0, wedge
+from curveobs.words import (Word, boundary_word, generator, parse_word,
+                            random_word_rng)
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 HALF = Fraction(1, 2)
@@ -35,36 +43,8 @@ class TestGoldenValues:
                 assert ell(generator(g, "x", j)) == Wedge2.make(g, [(xy, HALF)])
                 assert ell(generator(g, "y", j)) == Wedge2.make(g, [(xy, -HALF)])
 
-    @pytest.mark.parametrize("g", range(1, 6))
-    def test_boundary_maps_to_omega(self, g):
-        assert ell(boundary_word(g)) == omega(g)
-
 
 class TestIdentities:
-    def test_cocycle_and_friends(self):
-        rng = random.Random(0)
-        for _ in range(1000):
-            g = rng.randint(1, 3)
-            u = random_word_rng(g, rng.randint(0, 20), rng)
-            v = random_word_rng(g, rng.randint(0, 20), rng)
-            au, av = abelianize(u), abelianize(v)
-            assert ell(u * v) == ell(u) + ell(v) + wedge(au, av).scale(HALF)
-            assert ell(u.inverse()) == -ell(u)
-            assert ell(u.conjugate(v)) == ell(v) + wedge(au, av)
-            assert ell(commutator(u, v)) == wedge(au, av)
-
-    def test_reduction_invariance(self):
-        rng = random.Random(1)
-        for _ in range(100):
-            g = rng.randint(1, 3)
-            w = random_word_rng(g, rng.randint(0, 15), rng)
-            seq = list(w.letters)
-            for _ in range(100):
-                s = rng.choice([1, -1]) * rng.randrange(1, 2 * g + 1)
-                pos = rng.randint(0, len(seq))
-                seq = seq[:pos] + [s, -s] + seq[pos:]
-            assert ell_of_letters(g, seq) == ell(w)
-
     def test_half_integrality(self):
         rng = random.Random(2)
         for i in range(500):

@@ -1,8 +1,16 @@
+"""Tests of the package as a whole: `curveobs/__init__`'s exports and
+version, the annotations of every module, the README's imports, the
+project configuration, and the layout of `tests/` itself: one test file per
+module, and the named cross-module suites.
+"""
+
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -100,3 +108,39 @@ def test_readme_imports_resolve():
     assert {"curveobs", "curveobs.reference"} <= {n.module for n in nodes}
     for node in nodes:
         exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), {})
+
+
+# test files that check several modules together; every other test file is
+# named after the module it tests
+SUITES = {"golden", "golden_twist_wide", "cli_fuzz", "parse_differential",
+          "twist_symbolic", "mapping_class"}
+# modules whose test file has another name
+ALIASES = {"__init__": "exports", "selftest": "acceptance"}
+
+
+def test_every_module_has_one_test_file():
+    modules = {p.stem for p in (ROOT / "src" / "curveobs").glob("*.py")}
+    mirrored = {ALIASES.get(m, m) for m in modules}
+    tests = {p.stem[len("test_"):] for p in (ROOT / "tests").glob("test_*.py")}
+    missing = sorted(f"test_{m}.py" for m in mirrored - tests)
+    stray = sorted(f"test_{t}.py" for t in tests - mirrored - SUITES)
+    assert not missing and not stray, (
+        f"modules without a test file: {missing}; "
+        f"test files named after no module or suite: {stray}")
+
+
+def test_a_failing_hypothesis_test_shows_its_example(tmp_path):
+    # under the project's filterwarnings, a warning raised while the
+    # Hypothesis plugin reports a failure would end the run in an
+    # INTERNALERROR (exit 3) that hides the falsifying example
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_fails(n): assert n < 0\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
