@@ -1,9 +1,9 @@
 """Tests of `curveobs.ell`: golden values of `ell`, its half-integrality and
 Fraction coefficients, the obstruction vector, and the fold against three
 slower forms (`act2` on the fold's output, the dense fold, and
-`reference.ell_by_theta0`). Acceptance criteria 3 and 4
-(`test_acceptance.py`) check `ell` of the boundary word and the cocycle,
-inverse, conjugation, commutator and trivial-pair identities.
+`reference.ell_by_theta0`). Acceptance criterion 4 (`test_acceptance.py`)
+checks the product, inverse, conjugation and commutator identities, and
+invariance under inserted trivial pairs.
 """
 
 import random
@@ -13,7 +13,7 @@ import pytest
 
 from curveobs.ell import _twice_ell_on, ell, ell_of_letters, obstruction_vector
 from curveobs.homology import HVec, Wedge2, abelianize
-from curveobs.reference import act2, ell_by_theta0, wedge
+from curveobs.reference import act2, ell_by_theta0, omega, wedge
 from curveobs.words import (Word, boundary_word, generator, parse_word,
                             random_word_rng)
 
@@ -42,6 +42,10 @@ class TestGoldenValues:
                 xy = (2 * (j - 1), 2 * (j - 1) + 1)
                 assert ell(generator(g, "x", j)) == Wedge2.make(g, [(xy, HALF)])
                 assert ell(generator(g, "y", j)) == Wedge2.make(g, [(xy, -HALF)])
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_boundary_maps_to_omega(self, g):
+        assert ell(boundary_word(g)) == omega(g)
 
 
 class TestIdentities:

@@ -1,7 +1,8 @@
-"""Tests of `curveobs.homology`: `abelianize`, the intersection form,
-`is_integral`, `lattice_member` and its witness, `Wedge2.make`'s coercion,
-and the reprs and constructor arguments of `HVec`, `LatticeWitness` and
-`Wedge2`. The `_Record` contract these share is tested in `test_words.py`.
+"""Tests of `curveobs.homology`: `abelianize`, the intersection pairing,
+integrality, `lattice_member` and its witnesses against a brute-force
+oracle, and the `HVec` and `LatticeWitness` records. `Wedge2`, which also
+lives in `homology`, is tested in `test_wedge.py`. Acceptance criterion 10
+(`test_acceptance.py`) checks lattice membership against a scan.
 """
 
 import random
@@ -9,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from curveobs.homology import (HVec, LatticeWitness, Wedge2, abelianize,
-                               basis_pairing, intersection, is_integral,
-                               lattice_member)
-from curveobs.reference import Wedge3, omega
+from curveobs.homology import (HVec, LatticeWitness, abelianize, basis_pairing,
+                               intersection, is_integral, lattice_member)
 from curveobs.words import boundary_word, parse_word, random_word_rng
+
+from test_words import COPIES, assert_copied, assert_frozen
 
 
 def hv(genus, **coords):
@@ -223,33 +224,31 @@ class TestLatticeMember:
             assert lattice_member(v, u1, u2).member == lattice_member(v, u2, u1).member
 
 
-class TestMakeCoercion:
-    """`make` stores every coefficient as a `Fraction`: it coerces an int or a
-    bool and keeps a `Fraction` as it is. The report bytes cannot tell a
-    leaked int, as str(1) == str(Fraction(1))."""
-
-    def test_int_bool_and_fraction_are_stored_as_fractions(self):
-        half = Fraction(1, 2)
-        w = Wedge2.make(2, [((0, 1), 3), ((2, 3), True), ((0, 2), half),
-                            ((1, 3), False), ((3, 1), 2), ((1, 2), -1),
-                            ((2, 1), 1)])
-        assert w.terms == {(0, 1): 3, (2, 3): 1, (0, 2): half, (1, 3): -2,
-                           (1, 2): -2}
-        assert all(type(c) is Fraction for c in w.terms.values())
-        assert w.terms[(0, 2)] is half
-
-    def test_arithmetic_keeps_fractions(self):
-        w = Wedge2.make(2, [((0, 1), 1), ((2, 3), 2)])
-        for x in (w + w, w - w.scale(2), -w, w.scale(3), w.scale(True),
-                  Wedge3.make(2, [((2, 0, 1), 1), ((0, 1, 2), True)])):
-            assert x.terms and all(type(c) is Fraction
-                                   for c in x.terms.values()), x
-
-
 class TestRecords:
-    """The pins of HVec, LatticeWitness and Wedge2 as records: their reprs
-    and constructor arguments. The `_Record` contract they share is tested
-    in `test_words.py`."""
+    """HVec and LatticeWitness are immutable values: equal and hashed by
+    value, copyable."""
+
+    def test_hvec_equality_and_hash(self):
+        v = HVec.from_coords(2, [1, 0, Fraction(1, 2), -3])
+        assert v == HVec(genus=2, coords=(1, 0, Fraction(1, 2), -3))
+        assert hash(v) == hash(hv(2, X1=1, X2=Fraction(1, 2), Y2=-3))
+        assert v != -v and v != HVec.zero(2)
+        assert HVec.zero(1) != HVec.zero(2)
+        assert v != (2, v.coords) and v != LatticeWitness(False)
+
+    def test_witness_equality_and_hash(self):
+        w = LatticeWitness(True, 1, 0)
+        assert w == LatticeWitness(member=True, m=1, n=0)
+        assert hash(w) == hash(LatticeWitness(True, m=1, n=0))
+        assert LatticeWitness(False) == LatticeWitness(False, None, None)
+        assert LatticeWitness(False) != LatticeWitness(True)
+        assert w != LatticeWitness(True, 0, 1) and w != (True, 1, 0)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        v, w = HVec.zero(1), LatticeWitness(True, 1, 0)
+        assert_frozen(v, ("genus", "coords"), 5)
+        assert_frozen(w, ("member", "m"), 5)
+        assert v == HVec.zero(1) and w == LatticeWitness(True, 1, 0)
 
     def test_repr(self):
         assert repr(hv(2, X1=1, Y2=Fraction(-1, 2))) == (
@@ -259,10 +258,12 @@ class TestRecords:
             "LatticeWitness(member=True, m=1, n=0)")
         assert str(LatticeWitness(False)) == (
             "LatticeWitness(member=False, m=None, n=None)")
-        assert repr(omega(2)) == (
-            "Wedge2(genus=2, terms={(0, 1): Fraction(1, 1), "
-            "(2, 3): Fraction(1, 1)})")
-        assert repr(Wedge2.zero(3)) == "Wedge2(genus=3, terms={})"
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies(self, copier):
+        for obj in (hv(2, X1=1, Y2=Fraction(-1, 2)), LatticeWitness(False),
+                    LatticeWitness(True, -2, 3)):
+            assert_copied(obj, copier)
 
     @pytest.mark.parametrize("coords", [(), (1,), (1, 2, 3)])
     def test_hvec_coordinate_count(self, coords):

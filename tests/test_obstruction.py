@@ -1,7 +1,9 @@
-"""Tests of `curveobs.obstruction`: `analyze` and its report, the verdict's
-invariances that no acceptance criterion checks, the independence of v
-from the choice of symplectic expansion, and `twist_consistency`. The
-`_Record` contract of `Report` is tested in `test_words.py`.
+"""Tests of `curveobs.obstruction`: `analyze` and its verdicts, their
+invariance under order and orientation, independence of the expansion,
+dependent classes, `twist_consistency`, and the `Report` record.
+Acceptance criteria 1, 2, 5, 8 and 9 (`test_acceptance.py`) check the
+golden pairs, the twist lemma, conjugation invariance and same-curve
+inconclusiveness.
 """
 
 import importlib
@@ -23,6 +25,8 @@ from curveobs.reference import (L_theta, Wedge3, act2, act3, embed2,
                                 johnson_twist, theta0, twist_tensors, wedge)
 from curveobs.words import (Word, generator, parse_word, random_word_rng,
                             random_commutator_element_rng)
+
+from test_words import COPIES, assert_copied, assert_frozen
 
 X1 = 0
 # what analyze and twist_consistency raise for a word of another genus
@@ -60,6 +64,8 @@ class TestAnalyze:
         assert rep.i_A == 0
         assert rep.verdict in (VERDICT_THEOREM, VERDICT_INCONCLUSIVE)
         # and the vector reduces to ell(b) acting on |a|
+        from curveobs.ell import ell
+        from curveobs.reference import act2
         assert rep.v == act2(ell(b), abelianize(a))
 
     def test_both_separating(self):
@@ -118,6 +124,17 @@ class TestAnalyze:
 
 
 class TestVerdictInvariance:
+    def test_conjugation(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            g = rng.randint(1, 3)
+            a = random_word_rng(g, rng.randint(1, 8), rng)
+            b = random_word_rng(g, rng.randint(1, 8), rng)
+            c = random_word_rng(g, rng.randint(0, 6), rng)
+            d = random_word_rng(g, rng.randint(0, 6), rng)
+            assert analyze(g, c.conjugate(a), d.conjugate(b)).verdict == \
+                analyze(g, a, b).verdict
+
     def test_order_and_orientation(self):
         # v = ell(a)(|b|) + ell(b)(|a|) is odd in each word and symmetric in
         # the pair, and Z|a| + Z|b| does not see either change, so reversing
@@ -367,9 +384,8 @@ REPORT_FIELDS = ("genus", "a", "b", "abs_a", "abs_b", "i_A", "ell_a", "ell_b",
 
 
 class TestReportRecord:
-    """The pins of Report as a record, on one pair with i_A = 0 and one with
-    i_A != 0: its repr, and construction from positional or keyword fields.
-    The `_Record` contract is tested in `test_words.py`."""
+    """Report is an immutable value, equal by value; the Wedge2 fields make
+    it unhashable. One pair with i_A = 0 and one with i_A != 0."""
 
     PAIRS = {
         "x1 | x2^-1": (
@@ -407,7 +423,25 @@ class TestReportRecord:
         values = [getattr(rep, f) for f in REPORT_FIELDS]
         assert Report(*values) == rep
         assert Report(**dict(zip(REPORT_FIELDS, values))) == rep
+        assert rep == self.report(pair)
+        assert rep != Report(*values[:-1], "other") and rep != tuple(values)
         assert rep.expansion == Report.expansion == "theta0"
         assert rep.disclaimer == Report.disclaimer
         with pytest.raises(TypeError):
             Report(*values[:-1])
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_unhashable_and_frozen(self, pair):
+        rep = self.report(pair)
+        with pytest.raises(TypeError):
+            hash(rep)
+        assert_frozen(rep, ("verdict", "v", "genus"))
+        assert rep == self.report(pair)
+
+    @pytest.mark.parametrize("copier", COPIES)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_copies(self, pair, copier):
+        rep = self.report(pair)
+        c = assert_copied(rep, copier)
+        assert type(c) is Report
+        assert c.to_json() == rep.to_json() and c.to_text() == rep.to_text()

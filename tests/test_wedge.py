@@ -1,5 +1,12 @@
-import copy
-import pickle
+"""Tests of the alternating forms of `curveobs.reference` (`wedge`,
+`act2`, `Wedge3`, `act3`, `omega`, `embed2`, `embed3`), of the readers'
+checks on a malformed `Wedge2`, and of `Wedge2.make`'s coercion and the
+`Wedge2`, `Wedge3` and `TruncTensor` records. The file keeps the name of
+the `wedge` module that `Wedge2` lived in before it moved to
+`curveobs.homology`, so the ids of its tests stay stable. Acceptance
+criterion 3 (`test_acceptance.py`) checks the omega action.
+"""
+
 import random
 from fractions import Fraction
 
@@ -9,6 +16,8 @@ from curveobs.homology import HVec, Wedge2, intersection
 from curveobs.reference import (L_theta, TruncTensor, Wedge3, act2, act3,
                                 derive, embed2, embed3, omega, theta0, wedge,
                                 wedge3)
+
+from test_words import COPIES, assert_copied, assert_frozen
 
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 
@@ -233,12 +242,6 @@ class TestMakeCoercion:
                                    for c in x.terms.values()), x
 
 
-# every way a record is copied: shallow, deep and each pickle protocol
-COPIES = [copy.copy, copy.deepcopy] + [
-    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
-    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
-
-
 class TestRecords:
     """Wedge2, Wedge3 and TruncTensor are immutable values, equal by value
     within one class; their dicts of terms make them unhashable."""
@@ -272,11 +275,7 @@ class TestRecords:
 
     def test_fields_cannot_be_set_or_deleted(self):
         for obj in (omega(2), Wedge3.zero(2), TruncTensor.one(2)):
-            for field in obj.__slots__:
-                with pytest.raises(AttributeError):
-                    setattr(obj, field, {})
-                with pytest.raises(AttributeError):
-                    delattr(obj, field)
+            assert_frozen(obj, obj.__slots__, {})
         assert omega(1) == Wedge2(1, {(0, 1): 1})
         assert TruncTensor.one(2) == TruncTensor(2, 3, {(): 1})
 
@@ -300,5 +299,4 @@ class TestRecords:
                     Wedge3.make(2, [((0, 1, 2), Fraction(1, 3))]),
                     TruncTensor(2, 3, {(0, 3, 1): Fraction(-2, 3), (): 4}),
                     TruncTensor(1, 1)):
-            c = copier(obj)
-            assert type(c) is type(obj) and c == obj and repr(c) == repr(obj)
+            assert_copied(obj, copier)

@@ -1,28 +1,24 @@
-"""Tests of `curveobs.words`: parsing and its error messages, formatting,
-the group operations, the boundary word, free reduction, random words, and
-Word's pins as a record. `words` defines `_Record`, so the record contract
-that every record class of the package shares is tested here, once, on a
-sample of each class.
+"""Tests of `curveobs.words`: parsing and formatting, the group operations,
+the boundary word, reduction, the seeded random words, and `Word` as a
+record. The `_Record` contract checks (`COPIES`, `assert_copied`,
+`assert_frozen`) are defined here, with `_Record`, and the record tests of
+the other modules import them.
 """
 
 import copy
 import pickle
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveobs.homology import HVec, LatticeWitness, Wedge2, abelianize
-from curveobs.obstruction import Report, analyze
-from curveobs.reference import TruncTensor, Wedge3
-from curveobs.words import (MAX_GENUS, MAX_LETTERS, Word, WordError, _Record,
-                            _set, boundary_word, commutator, format_word,
-                            generator, parse_word,
-                            random_commutator_element_rng, random_letters,
-                            random_word_rng, reduce_letters)
+from curveobs.words import (MAX_GENUS, MAX_LETTERS, Word, WordError,
+                            boundary_word, commutator, format_word, generator,
+                            parse_word, random_commutator_element_rng,
+                            random_letters, random_word_rng, reduce_letters)
+from curveobs.homology import abelianize
 
 
 def L(*names):
@@ -314,14 +310,54 @@ class TestRandom:
         assert random_commutator_element_rng(1, 1, random.Random(11)) == commutator(u, v)
 
 
+# every way a record is copied: shallow, deep and each pickle protocol. The
+# record tests of every module import this list and the two checks below of
+# the `_Record` contract, which lives here with `Word`.
+COPIES = [copy.copy, copy.deepcopy] + [
+    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def assert_copied(obj, copier):
+    """The copy is a record of the same class, equal and with the same repr."""
+    c = copier(obj)
+    assert type(c) is type(obj) and c == obj and repr(c) == repr(obj)
+    return c
+
+
+def assert_frozen(obj, fields, value=None):
+    """None of the fields can be set (to `value`) or deleted."""
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+
 class TestRecord:
-    """The pins of Word as a record: its repr and its constructor's checks.
-    The `_Record` contract it shares is tested below."""
+    """Word is an immutable value: equal and hashed by value, copyable."""
+
+    def test_equality_and_hash(self):
+        w = Word(2, L("x1", "y2"))
+        assert w == Word(genus=2, letters=L("x1", "y2"))
+        assert hash(w) == hash(parse_word("x1 y2", 2))
+        assert {w: 1}[parse_word("x1 y2", 2)] == 1
+        assert w != Word(2, L("x1", "y2^-1")) and w != Word(3, w.letters)
+        assert w != (2, w.letters) and not w == (2, w.letters)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        w = Word(2, L("x1"))
+        assert_frozen(w, ("genus", "letters"), ())
+        assert w == Word(2, L("x1"))
 
     def test_repr(self):
         assert (repr(parse_word("x1 x2 y2 x2^-1", 2))
                 == "Word(genus=2, letters=(1, 3, 4, -3))")
         assert repr(Word.identity(1)) == "Word(genus=1, letters=())"
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies(self, copier):
+        assert_copied(parse_word("x1 y2^3 [x1, y1]", 2), copier)
 
     @pytest.mark.parametrize("genus, letters, message", [
         (0, (), "genus must be >= 1, got 0"),
@@ -342,104 +378,3 @@ class TestRecord:
             Word(2, (), ())
         with pytest.raises(TypeError):
             Word(2, word=())
-
-
-# every way a record is copied: shallow, deep and each pickle protocol
-COPIES = [copy.copy, copy.deepcopy] + [
-    (lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)))
-    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
-
-
-def report(a, b):
-    return analyze(2, parse_word(a, 2), parse_word(b, 2))
-
-
-# a sample of every record class of the package: (record, an equal record
-# built another way, records of other values)
-RECORDS = {
-    "Word": (Word(2, L("x1", "y2")), parse_word("x1 y2", 2),
-             Word(2, L("x1", "y2^-1")), Word(3, L("x1", "y2"))),
-    "HVec": (HVec.from_coords(2, [1, 0, Fraction(1, 2), -3]),
-             HVec(genus=2, coords=(1, 0, Fraction(1, 2), -3)),
-             HVec.zero(2), HVec.from_coords(3, [1, 0, Fraction(1, 2), -3, 0, 0])),
-    "LatticeWitness": (LatticeWitness(True, 1, 0),
-                       LatticeWitness(member=True, m=1, n=0),
-                       LatticeWitness(True, 0, 1), LatticeWitness(False)),
-    "LatticeWitness-nonmember": (LatticeWitness(False),
-                                 LatticeWitness(False, None, None),
-                                 LatticeWitness(True)),
-    "Wedge2": (Wedge2(2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1)}),
-               Wedge2(genus=2, terms={(2, 3): -1, (0, 1): Fraction(1, 2)}),
-               Wedge2(2, {(0, 1): Fraction(-1, 2), (2, 3): Fraction(1)}),
-               Wedge2(3, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1)})),
-    "Wedge3": (Wedge3(2, {(0, 1, 2): Fraction(1, 3)}),
-               Wedge3(genus=2, terms={(0, 1, 2): Fraction(2, 6)}),
-               Wedge3(2, {(0, 1, 2): 1}), Wedge3(3, {(0, 1, 2): Fraction(1, 3)})),
-    "TruncTensor": (TruncTensor(2, 3, {(0, 3, 1): Fraction(-2, 3), (): 4}),
-                    TruncTensor(genus=2, maxdeg=3, terms={
-                        (): Fraction(8, 2), (0, 3, 1): Fraction(-2, 3)}),
-                    TruncTensor(2, 3, {(): 4})),
-    "Report-i_A=0": (report("x1", "x2^-1"), report("x1", "x2^-1"),
-                     report("x1", "x2")),
-    "Report-i_A=1": (report("x1", "y1"), report("x1", "y1"),
-                     report("y1", "x1")),
-}
-# the classes with a field that holds a dict
-UNHASHABLE = (Wedge2, Wedge3, TruncTensor, Report)
-
-
-def look_alike(record):
-    """A record of another class, with the same fields and values."""
-    cls = type(record)
-    twin = object.__new__(type(cls.__name__, (_Record,),
-                               {"__slots__": cls.__slots__}))
-    for field in cls.__slots__:
-        _set(twin, field, getattr(record, field))
-    return twin
-
-
-class TestRecordContract:
-    """Every record class of the package takes its value semantics from
-    `_Record`: equal by value, within one class only; hashed by value, or
-    unhashable where a field holds a dict; frozen; and copied or pickled to
-    an equal record with the same repr."""
-
-    @pytest.mark.parametrize("name", RECORDS)
-    def test_equal_by_value_within_one_class(self, name):
-        record, equal, *unequal = RECORDS[name]
-        assert record == equal and not record != equal
-        for other in unequal:
-            assert record != other and not record == other
-        values = tuple(getattr(record, f) for f in type(record).__slots__)
-        assert record != values and not record == values
-        twin = look_alike(record)
-        assert record != twin and twin != record
-        for sample, *_ in RECORDS.values():
-            if type(sample) is not type(record):
-                assert record != sample and sample != record
-
-    @pytest.mark.parametrize("name", RECORDS)
-    def test_hashed_by_value_unless_it_holds_a_dict(self, name):
-        record, equal, *_ = RECORDS[name]
-        if isinstance(record, UNHASHABLE):
-            with pytest.raises(TypeError):
-                hash(record)
-        else:
-            assert hash(record) == hash(equal) and {record: 1}[equal] == 1
-
-    @pytest.mark.parametrize("name", RECORDS)
-    def test_fields_cannot_be_set_or_deleted(self, name):
-        record, equal, *_ = RECORDS[name]
-        for field in type(record).__slots__:
-            with pytest.raises(AttributeError):
-                setattr(record, field, None)
-            with pytest.raises(AttributeError):
-                delattr(record, field)
-        assert record == equal
-
-    @pytest.mark.parametrize("copier", COPIES)
-    @pytest.mark.parametrize("name", RECORDS)
-    def test_copies(self, name, copier):
-        record = RECORDS[name][0]
-        c = copier(record)
-        assert type(c) is type(record) and c == record and repr(c) == repr(record)
