@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .homology import HVec, Wedge2, _letter_counts
+from .homology import HVec, Wedge2, abelianize
 from .words import Word, check_genus
 
 
@@ -79,4 +79,4 @@ def obstruction_vector(a: Word, b: Word) -> HVec:
     `reference.act2`: 2v from the letters, over 2."""
     check_genus(a, b)
     return HVec(a.genus, tuple(Fraction(x, 2) for x in _twice_v(
-        a, _letter_counts(a), b, _letter_counts(b))))
+        a, abelianize(a).coords, b, abelianize(b).coords)))

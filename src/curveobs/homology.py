@@ -5,8 +5,9 @@ k in 0..2g-1 is X_{k//2+1} for even k and Y_{k//2+1} for odd k. The exterior
 powers as the production path uses them are here too: the alternating
 arithmetic and degree 2, `Wedge2`. The wedge of two homology vectors, degree
 3, the tensor embeddings, the actions on homology vectors and the
-basis-index check are in `reference`. All arithmetic is exact
-(fractions.Fraction), never floating point.
+basis-index check are in `reference`. All arithmetic is exact: classes of
+words, intersection numbers and the lattice decision are ints, and
+`fractions.Fraction` holds only values that need not be integers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def format_terms(terms) -> str:
 class HVec(_Record):
     __slots__ = ("genus", "coords")
 
-    def __init__(self, genus: int, coords: tuple[Fraction, ...]):
+    def __init__(self, genus: int, coords: tuple[int | Fraction, ...]):
         if len(coords) != 2 * genus:
             raise ValueError("coordinate count must be 2*genus")
         _set(self, "genus", genus)
@@ -171,16 +172,12 @@ class Wedge2(_Alternating):
                             for (i, j), c in sorted(self.terms.items()))
 
 
-def _letter_counts(w: Word) -> list[int]:
-    """|w| as ints: the exponent sum of each generator, by basis index."""
+def abelianize(w: Word) -> HVec:
+    """|w| with int coordinates: the exponent sum of each generator."""
     counts = [0] * (2 * w.genus)
     for l in w.letters:
         counts[abs(l) - 1] += 1 if l > 0 else -1
-    return counts
-
-
-def abelianize(w: Word) -> HVec:
-    return HVec(w.genus, tuple(Fraction(c) for c in _letter_counts(w)))
+    return HVec(w.genus, tuple(counts))
 
 
 def _pairing(u, v):
@@ -188,9 +185,9 @@ def _pairing(u, v):
     return sum(u[k] * v[k + 1] - u[k + 1] * v[k] for k in range(0, len(u), 2))
 
 
-def intersection(u: HVec, v: HVec) -> Fraction:
+def intersection(u: HVec, v: HVec) -> int | Fraction:
     check_genus(u, v)
-    return Fraction(_pairing(u.coords, v.coords))
+    return _pairing(u.coords, v.coords)
 
 
 def is_integral(v: HVec) -> bool:
@@ -224,17 +221,20 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
     """Decide v in Z*u1 + Z*u2, with an integer witness (m, n) when it holds.
 
-    One elimination step: at the first coordinate i0 where u1 and u2 are not
-    both zero, s*a + t*b = d = +-gcd(a, b) of their entries gives the unimodular
-    change c1 = s*u1 + t*u2, c2 = (a/d)*u2 - (b/d)*u1 with c1[i0] = d and
-    c2[i0] = 0, so v has at most one candidate m1*c1 + n1*c2.
+    The lattice lies in Z^2g, so it holds no v with a non-integral coordinate.
+    Else one elimination step on ints: at the first coordinate i0 where u1 and
+    u2 are not both zero, s*a + t*b = d = +-gcd(a, b) of their entries gives
+    the unimodular change c1 = s*u1 + t*u2, c2 = (a/d)*u2 - (b/d)*u1 with
+    c1[i0] = d and c2[i0] = 0, so v has at most one candidate m1*c1 + n1*c2; a
+    remainder of the floor quotients m1, n1 fails the check against v.
     """
     check_genus(v, u1)
     check_genus(v, u2)
     if not (is_integral(u1) and is_integral(u2)):
         raise ValueError("lattice generators must have integer coordinates")
-    a = [int(c) for c in u1.coords]
-    b = [int(c) for c in u2.coords]
+    if not is_integral(v):
+        return LatticeWitness(False)
+    a, b, z = ([int(c) for c in u.coords] for u in (u1, u2, v))
     i0 = next((i for i in range(len(a)) if a[i] or b[i]), 0)
     # d = 0 only when u1 = u2 = 0; then c1 = c2 = 0 and only v = 0 passes
     d, s, t = _ext_gcd(a[i0], b[i0])
@@ -242,10 +242,9 @@ def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
     p, q = a[i0] // d, b[i0] // d
     c1 = [s * x + t * y for x, y in zip(a, b)]
     c2 = [p * y - q * x for x, y in zip(a, b)]
-    m1 = v.coords[i0] / d
+    m1 = z[i0] // d
     k = next((i for i, x in enumerate(c2) if x), None)
-    n1 = Fraction(0) if k is None else (v.coords[k] - m1 * c1[k]) / c2[k]
-    if (m1.denominator != 1 or n1.denominator != 1
-            or any(m1 * x + n1 * y != z for x, y, z in zip(c1, c2, v.coords))):
+    n1 = 0 if k is None else (z[k] - m1 * c1[k]) // c2[k]
+    if any(m1 * x + n1 * y != w for x, y, w in zip(c1, c2, z)):
         return LatticeWitness(False)
-    return LatticeWitness(True, int(s * m1 - q * n1), int(t * m1 + p * n1))
+    return LatticeWitness(True, s * m1 - q * n1, t * m1 + p * n1)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 
 from .ell import _twice_v, ell, obstruction_vector
-from .homology import (HVec, LatticeWitness, Wedge2, _letter_counts,
-                       _pairing, abelianize, intersection, lattice_member)
+from .homology import (HVec, LatticeWitness, Wedge2, _pairing, abelianize,
+                       intersection, lattice_member)
 from .words import Word, _Record, _set, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
@@ -115,7 +115,7 @@ def analyze(genus: int, a: Word, b: Word) -> Report:
         b=format_word(b),
         abs_a=abs_a,
         abs_b=abs_b,
-        i_A=int(i_a),
+        i_A=i_a,
         ell_a=ell_a,
         ell_b=ell_b,
         v=v,
@@ -142,7 +142,7 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     _check_genus(genus, a, b)
     # the twist path loads on demand: analyze does not need it
     from .expansion import _minus_D, _theta0_nums, bracket
-    za, zb = _letter_counts(a), _letter_counts(b)
+    za, zb = abelianize(a).coords, abelianize(b).coords
     if _pairing(za, zb):
         raise ValueError("twist cross-check requires algebraic intersection 0")
     # ell takes values in 1/2 Z, so its numerators over 2 are ints, and the

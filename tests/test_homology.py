@@ -1,17 +1,20 @@
 """Tests of `curveobs.homology`: `abelianize`, the intersection pairing,
 integrality, `lattice_member` and its witnesses against a brute-force
-oracle, and the `HVec` and `LatticeWitness` records. `Wedge2`, which also
-lives in `homology`, is tested in `test_wedge.py`. Acceptance criterion 10
-(`test_acceptance.py`) checks lattice membership against a scan.
+oracle and under lattice shifts, its int results, and the `HVec` and
+`LatticeWitness` records. `Wedge2`, which also lives in `homology`, is
+tested in `test_wedge.py`. Acceptance criterion 10 (`test_acceptance.py`)
+checks lattice membership against a scan.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from curveobs.homology import (HVec, LatticeWitness, abelianize, basis_pairing,
-                               intersection, is_integral, lattice_member)
+from curveobs.homology import (HVec, LatticeWitness, _ext_gcd, abelianize,
+                               basis_pairing, intersection, is_integral,
+                               lattice_member)
 from curveobs.words import boundary_word, parse_word, random_word_rng
 
 from test_words import COPIES, assert_copied, assert_frozen
@@ -222,6 +225,72 @@ class TestLatticeMember:
     def test_membership_symmetric_in_generators(self):
         for v, u1, u2 in self._random_instances(200, 23):
             assert lattice_member(v, u1, u2).member == lattice_member(v, u2, u1).member
+
+    def test_adding_a_lattice_vector(self):
+        # v + m'u1 + n'u2 is a member exactly when v is; for independent u1
+        # and u2 the witness is unique, so it moves by (m', n')
+        rng = random.Random(41)
+        moved = 0
+        for v, u1, u2 in self._random_instances(300, 41):
+            m, n = rng.randint(-5, 5), rng.randint(-5, 5)
+            w = v + u1.scale(m) + u2.scale(n)
+            before, after = lattice_member(v, u1, u2), lattice_member(w, u1, u2)
+            assert after.member == before.member, (v, u1, u2, m, n)
+            if not before.member:
+                continue
+            assert u1.scale(after.m) + u2.scale(after.n) == w
+            if any(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                   in combinations(zip(u1.coords, u2.coords), 2)):
+                assert (after.m, after.n) == (before.m + m, before.n + n)
+                moved += 1
+        assert moved > 20
+
+    def test_a_half_integral_coordinate_is_never_a_member(self):
+        # the lattice lies in Z^2g, whatever v's other coordinates are
+        rng = random.Random(43)
+        for _, u1, u2 in self._random_instances(300, 43):
+            g = u1.genus
+            half = HVec.basis(g, rng.randrange(2 * g)).scale(
+                Fraction(rng.choice((-3, -1, 1, 3)), 2))
+            v = u1.scale(rng.randint(-8, 8)) + u2.scale(rng.randint(-8, 8))
+            assert lattice_member(v + half, u1, u2) == LatticeWitness(False)
+            assert lattice_member(half, u1, u2) == LatticeWitness(False)
+
+    def test_zero_generators(self):
+        for g in (1, 2, 3):
+            zero = HVec.zero(g)
+            assert lattice_member(zero, zero, zero) == LatticeWitness(True, 0, 0)
+            for k in range(2 * g):
+                for c in (1, -1, 2, Fraction(1, 2)):
+                    v = HVec.basis(g, k).scale(c)
+                    assert lattice_member(v, zero, zero) == LatticeWitness(False)
+
+    @pytest.mark.parametrize("a0, b0", [(-4, -6), (-3, 0), (6, -4), (9, -6)])
+    def test_negative_gcd_at_the_pivot(self, a0, b0):
+        # Euclid's gcd of the pivot entries comes out negative here; the
+        # witness of every m*u1 + n*u2 is still (m, n), and v off by 1 at
+        # the pivot or at the next coordinate is not a member
+        assert _ext_gcd(a0, b0)[0] < 0
+        u1, u2 = hv(2, X1=a0, Y1=1, Y2=2), hv(2, X1=b0, X2=1, Y2=-1)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                v = u1.scale(m) + u2.scale(n)
+                assert lattice_member(v, u1, u2) == LatticeWitness(True, m, n)
+                for off in (hv(2, X1=1), hv(2, Y1=-1)):
+                    assert not lattice_member(v + off, u1, u2).member
+
+    def test_ints_in_and_out(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            g = rng.randint(1, 4)
+            a, b = (abelianize(random_word_rng(g, rng.randint(0, 12), rng))
+                    for _ in range(2))
+            assert {type(c) for c in a.coords + b.coords} == {int}
+            assert type(intersection(a, b)) is int
+            m, n = rng.randint(-5, 5), rng.randint(-5, 5)
+            v = HVec(g, tuple(m * x + n * y for x, y in zip(a.coords, b.coords)))
+            w = lattice_member(v, a, b)
+            assert w.member and type(w.m) is int and type(w.n) is int
 
 
 class TestRecords:

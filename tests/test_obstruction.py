@@ -1,6 +1,7 @@
 """Tests of `curveobs.obstruction`: `analyze` and its verdicts, their
-invariance under order and orientation, independence of the expansion,
-dependent classes, `twist_consistency`, and the `Report` record.
+invariance under order and orientation, every pair of short words at genus
+2 (`TestSmallBox`), independence of the expansion, dependent classes,
+`twist_consistency`, and the `Report` record.
 Acceptance criteria 1, 2, 5, 8 and 9 (`test_acceptance.py`) check the
 golden pairs, the twist lemma, conjugation invariance and same-curve
 inconclusiveness.
@@ -12,6 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -156,6 +158,116 @@ class TestVerdictInvariance:
             certified += rep.verdict == VERDICT_THEOREM
             done += 1
         assert certified > 0
+
+
+# the letters of genus 2, x1, y1, x2, y2 and their inverses
+BOX_LETTERS = (1, 2, 3, 4, -1, -2, -3, -4)
+# the 65 reduced words of length <= 2 over them
+BOX_WORDS = [(), *((l,) for l in BOX_LETTERS),
+             *((l, m) for l in BOX_LETTERS for m in BOX_LETTERS if m != -l)]
+
+
+def small_box(genus):
+    """`analyze` at `genus` on every ordered pair of `BOX_WORDS`, by pair of
+    letter tuples."""
+    return {(a, b): analyze(genus, Word(genus, a), Word(genus, b))
+            for a in BOX_WORDS for b in BOX_WORDS}
+
+
+def lattice_oracle(v, u1, u2):
+    """(v in Z u1 + Z u2, the witness where it is unique), from Fractions and
+    without `_ext_gcd`: Cramer's rule on the first nonzero 2x2 minor, or, for
+    dependent u1 and u2, the multiples of the line's primitive vector."""
+    for i, j in combinations(range(len(v)), 2):
+        det = u1[i] * u2[j] - u1[j] * u2[i]
+        if det:
+            m = Fraction(v[i] * u2[j] - v[j] * u2[i], det)
+            n = Fraction(u1[i] * v[j] - u1[j] * v[i], det)
+            member = (m.denominator == n.denominator == 1 and all(
+                m * x + n * y == z for x, y, z in zip(u1, u2, v)))
+            return member, (m, n) if member else None
+    u = u1 if any(u1) else u2
+    if not any(u):
+        return not any(v), None
+    p = [x // gcd(*u) for x in u]
+    r = next(i for i, x in enumerate(p) if x)
+    lam = Fraction(v[r]) / p[r]
+    step = gcd(u1[r] // p[r], u2[r] // p[r])
+    member = all(lam * x == z for x, z in zip(p, v)) and lam % step == 0
+    return member, None
+
+
+class TestSmallBox:
+    """Every ordered pair of the 65 reduced words of length <= 2 at genus 2,
+    4225 pairs, 1665 of them with i_A = 0: the symmetries of v and the
+    verdict, conjugation, genus stabilisation, the lattice decision against
+    a Fraction oracle, and the twist identity. The boxes are built once for
+    the class and freed after it."""
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        return small_box(2)
+
+    @pytest.fixture(scope="class")
+    def box3(self):
+        return small_box(3)
+
+    def test_box(self, box):
+        reps = box.values()
+        assert len(reps) == 65 * 65
+        assert sum(r.i_A == 0 for r in reps) == 1665
+        assert sum(r.verdict == VERDICT_THEOREM for r in reps) == 160
+
+    def test_swapping_the_curves(self, box):
+        for (a, b), rep in box.items():
+            swapped = box[b, a]
+            assert (swapped.i_A, swapped.v, swapped.verdict) == (
+                -rep.i_A, rep.v, rep.verdict), (a, b)
+
+    def test_inverting_a(self, box):
+        for (a, b), rep in box.items():
+            inverted = box[tuple(-l for l in reversed(a)), b]
+            assert (inverted.i_A, inverted.v, inverted.verdict) == (
+                -rep.i_A, rep.v and -rep.v, rep.verdict), (a, b)
+
+    def test_conjugating_a_by_each_generator(self, box):
+        # ell(g a g^-1) = ell(a) + |g| ^ |a|, so at i_A = 0 v moves by
+        # -(|g| . |b|) |a|, a lattice vector
+        gens = [Word(2, (k,)) for k in range(1, 5)]
+        for (a, b), rep in box.items():
+            if rep.i_A:
+                continue
+            for g in gens:
+                got = analyze(2, g.conjugate(Word(2, a)), Word(2, b))
+                shift = intersection(abelianize(g), rep.abs_b)
+                assert got.v == rep.v - rep.abs_a.scale(shift), (g, a, b)
+                assert got.verdict == rep.verdict, (g, a, b)
+
+    def test_the_same_letters_at_genus_3(self, box, box3):
+        for pair, rep in box.items():
+            up = box3[pair]
+            assert (up.i_A, up.verdict) == (rep.i_A, rep.verdict), pair
+            assert (up.v and up.v.coords) == (rep.v and rep.v.coords + (0, 0))
+
+    def test_lattice_decision_against_a_fraction_oracle(self, box):
+        members = 0
+        for pair, rep in box.items():
+            if rep.v is None:
+                continue
+            abs_a, abs_b, lat = rep.abs_a, rep.abs_b, rep.lattice
+            member, witness = lattice_oracle(rep.v.coords, abs_a.coords,
+                                             abs_b.coords)
+            assert lat.member == member, pair
+            if member:
+                assert abs_a.scale(lat.m) + abs_b.scale(lat.n) == rep.v, pair
+                assert witness in (None, (lat.m, lat.n)), pair
+            members += member
+        assert members == 1665 - 160
+
+    def test_twist_identity(self, box):
+        for (a, b), rep in box.items():
+            if rep.i_A == 0:
+                assert twist_consistency(2, Word(2, a), Word(2, b))[0], (a, b)
 
 
 def act2_v(abs_a, ell_a, abs_b, ell_b):
@@ -390,9 +502,8 @@ class TestReportRecord:
     PAIRS = {
         "x1 | x2^-1": (
             "Report(genus=2, a='x1', b='x2^-1', abs_a=HVec(genus=2, "
-            "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
-            "Fraction(0, 1))), abs_b=HVec(genus=2, coords=(Fraction(0, 1), "
-            "Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1))), i_A=0, "
+            "coords=(1, 0, 0, 0)), abs_b=HVec(genus=2, coords=(0, 0, -1, 0)), "
+            "i_A=0, "
             "ell_a=Wedge2(genus=2, terms={(0, 1): Fraction(1, 2)}), "
             "ell_b=Wedge2(genus=2, terms={(2, 3): Fraction(-1, 2)}), "
             "v=HVec(genus=2, coords=(Fraction(0, 1), Fraction(0, 1), "
@@ -400,9 +511,8 @@ class TestReportRecord:
             "member=True, m=0, n=0), verdict='inconclusive')"),
         "x1 | y1": (
             "Report(genus=2, a='x1', b='y1', abs_a=HVec(genus=2, "
-            "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
-            "Fraction(0, 1))), abs_b=HVec(genus=2, coords=(Fraction(0, 1), "
-            "Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))), i_A=1, "
+            "coords=(1, 0, 0, 0)), abs_b=HVec(genus=2, coords=(0, 1, 0, 0)), "
+            "i_A=1, "
             "ell_a=Wedge2(genus=2, terms={(0, 1): Fraction(1, 2)}), "
             "ell_b=Wedge2(genus=2, terms={(0, 1): Fraction(-1, 2)}), "
             "v=None, lattice=None, verdict='certified_positive_homological')"),
