@@ -64,17 +64,17 @@ class HVec(_Record):
 
     @classmethod
     def zero(cls, genus: int) -> "HVec":
-        return cls(genus, (Fraction(0),) * (2 * genus))
+        return cls(genus, (0,) * (2 * genus))
 
     @classmethod
     def basis(cls, genus: int, k: int) -> "HVec":
-        coords = [Fraction(0)] * (2 * genus)
-        coords[k] = Fraction(1)
+        coords = [0] * (2 * genus)
+        coords[k] = 1
         return cls(genus, tuple(coords))
 
     @classmethod
     def from_coords(cls, genus: int, coords) -> "HVec":
-        return cls(genus, tuple(Fraction(c) for c in coords))
+        return cls(genus, tuple(coords))
 
     def __add__(self, other: "HVec") -> "HVec":
         check_genus(self, other)
@@ -87,7 +87,6 @@ class HVec(_Record):
         return HVec(self.genus, tuple(-a for a in self.coords))
 
     def scale(self, c) -> "HVec":
-        c = Fraction(c)
         return HVec(self.genus, tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:

@@ -336,7 +336,7 @@ class TestTwistCheck:
         code, out, _ = run(capsys, "twist-check", "--genus", "2",
                            "--a", "x1 x2 y2 x2^-1", "--b", "y2 x1^-1")
         assert code == 0
-        assert "True" in out
+        assert out == "twist identity holds: True\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "twist-check", "--genus", "2",
@@ -389,6 +389,20 @@ class TestEval:
             {"basis": "X1^Y1", "coeff": "1"},
             {"basis": "X2^Y2", "coeff": "1"},
         ]
+
+    def test_readme_grammar_example_bytes(self, capsys):
+        # the README's word grammar example, every construct in one word
+        code, out, _ = run(capsys, "eval", "--genus", "2", "--format", "json",
+                           "x1 (x2 y2)^2 [y1, zeta]^-1")
+        assert code == 0
+        assert out == (
+            '{"word": "x1 x2 y2 x2 y2 x1 y1 x1^-1 y1^-1 x2 y2 x2^-1 y2^-1 y1 '
+            'y2 x2 y2^-1 x2^-1 y1 x1 y1^-1 x1^-1 y1^-1", '
+            '"abs": {"X1": "1", "X2": "2", "Y2": "2"}, '
+            '"ell": [{"basis": "X1^X2", "coeff": "1"}, '
+            '{"basis": "X1^Y1", "coeff": "1/2"}, '
+            '{"basis": "X1^Y2", "coeff": "1"}, '
+            '{"basis": "X2^Y2", "coeff": "1"}]}\n')
 
     def test_text(self, capsys):
         code, out, _ = run(capsys, "eval", "--genus", "2", "x1 x2 y2 x2^-1")
@@ -460,9 +474,11 @@ class TestImportFootprint:
 
     @staticmethod
     def python(*args):
+        # the directory this process imported curveobs from: src/ in a
+        # checkout, site-packages under an installed package
         env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        home = str(Path(curveobs.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = home + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run([sys.executable, "-S", *args], env=env,
                               capture_output=True, text=True, timeout=120)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import curveobs
 from curveobs.cli import main
 from curveobs.obstruction import analyze
 from curveobs.words import parse_word
@@ -163,15 +164,28 @@ def test_outputs_are_byte_identical(index):
     assert outputs(rec["genus"], rec["a"], rec["b"]) == rec
 
 
+def test_batch_reports_are_byte_identical(tmp_path, capsys):
+    # the whole corpus as one `analyze --pairs` file: one report per line,
+    # in order, each the stored bytes
+    pairs = tmp_path / "golden_pairs.tsv"
+    pairs.write_text("".join(f"{r['genus']}\t{r['a']}\t{r['b']}\n"
+                             for r in RECORDS), encoding="utf-8")
+    code = main(["analyze", "--pairs", str(pairs)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == [r["analyze_json"] for r in RECORDS]
+
+
 def test_optimized_interpreter_gives_the_same_bytes():
     # `python -O` strips assert statements; the invariants must not depend on
     # them. The text report runs both invariant checks of `obstruction`.
     rec = next(r for r in RECORDS
                if json.loads(r["analyze_json"])["verdict"]
                == "certified_positive_theorem")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    # the directory this process imported curveobs from
+    home = str(Path(curveobs.__file__).resolve().parent.parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = home + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "curveobs.cli", "analyze",
          "--genus", str(rec["genus"]), "--a", rec["a"], "--b", rec["b"],

@@ -15,7 +15,7 @@ import pytest
 from curveobs.homology import (HVec, LatticeWitness, _ext_gcd, abelianize,
                                basis_pairing, intersection, is_integral,
                                lattice_member)
-from curveobs.words import boundary_word, parse_word, random_word_rng
+from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
 from test_words import COPIES, assert_copied, assert_frozen
 
@@ -318,6 +318,16 @@ class TestRecords:
         assert_frozen(v, ("genus", "coords"), 5)
         assert_frozen(w, ("member", "m"), 5)
         assert v == HVec.zero(1) and w == LatticeWitness(True, 1, 0)
+
+    def test_built_vectors_hold_abelianize_ints(self):
+        # one representation: the constructors and scale keep the int
+        # coordinates abelianize builds, and from_coords keeps what it gets
+        x1 = abelianize(parse_word("x1", 2))
+        assert repr(HVec.zero(2)) == repr(abelianize(Word.identity(2)))
+        assert repr(HVec.basis(2, 0)) == repr(x1)
+        assert [type(c) for c in x1.scale(2).coords] == [int] * 4
+        coords = (1, Fraction(1, 2))
+        assert repr(HVec.from_coords(1, coords)) == repr(HVec(1, coords))
 
     def test_repr(self):
         assert repr(hv(2, X1=1, Y2=Fraction(-1, 2))) == (

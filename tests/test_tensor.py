@@ -27,6 +27,8 @@ from curveobs.reference import (L_theta, TruncTensor, act2, cyclic_N, derive,
                                 twist_tensors, wedge, wedge3)
 from curveobs.words import Word, boundary_word, parse_word, random_word_rng
 
+from test_wedge import rand_hvec
+
 X1, Y1, X2, Y2 = 0, 1, 2, 3
 
 
@@ -45,12 +47,6 @@ def theta0_of(w):
 
 def L_of(a):
     return L_theta(abelianize(a), ell(a))
-
-
-def rand_hvec(genus, rng):
-    return HVec.from_coords(
-        genus,
-        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * genus)])
 
 
 class TestProduct:
