@@ -4,17 +4,17 @@ ell sends a word to an element of the second exterior power of homology. It is
 fixed on generators (ell(x_j) = 1/2 X_j^Y_j, ell(y_j) = -1/2 X_j^Y_j) and
 extended by the cocycle rule ell(uv) = ell(u) + ell(v) + 1/2 |u|^|v|. The fold
 is evaluated on raw letter sequences and is invariant under free reduction.
-It keeps the class of the prefix as a sparse int dict, so a letter's new terms
-cost one per generator the prefix touches; the running sum is a Wedge2, put in
-canonical form once per letter. The obstruction vector does not read ell: it
-is read off the letters in one int pass per word.
+It keeps the prefix class as a sparse int dict, so a letter's prefix terms
+cost one per generator the prefix touches, put in canonical form once per
+letter; the letters' own terms are read off the final class. The obstruction
+vector does not read ell: it is read off the letters in one int pass per word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .homology import HVec, Wedge2, abelianize
+from .homology import HVec, Wedge2, _normalize, abelianize
 from .words import Word, check_genus
 
 
@@ -22,25 +22,25 @@ def ell_of_letters(genus: int, letters) -> Wedge2:
     """Left-to-right cocycle fold over a (possibly unreduced) letter sequence.
 
     The prefix class ab is a sparse int dict {index: count}, so the letter
-    +-e_k adds ell(letter) + 1/2 ab ^ (+-e_k): one term per index in the
-    prefix's support, with the 1/2 folded in. x_j carries +1/2 X_j^Y_j, y_j
-    carries -1/2, and inversion flips the sign. The running sum, the
-    letter's own term and its prefix terms go through one `Wedge2.make`."""
-    acc = Wedge2.zero(genus)
+    +-e_k adds 1/2 ab ^ (+-e_k): one term per index in ab, none while ab = 0.
+    The letters' own terms sum to (c_x - c_y)/2 X_j^Y_j for c the exponent
+    sums, the final ab; they join once, over the handles ab touches."""
+    acc: dict[tuple[int, int], Fraction] = {}
     ab: dict[int, int] = {}
     for l in letters:
         k = abs(l) - 1
         s = 1 if l > 0 else -1
-        acc = Wedge2.make(genus, [
-            *acc.terms.items(),
-            ((k & ~1, k | 1), Fraction(-s if k & 1 else s, 2)),
-            *(((i, k), Fraction(s * c, 2)) for i, c in ab.items())])
+        if ab:
+            acc = _normalize([*acc.items(), *(((i, k), Fraction(s * c, 2))
+                                              for i, c in ab.items())])
         c = ab.get(k, 0) + s
         if c:
             ab[k] = c
         else:
             del ab[k]
-    return acc
+    return Wedge2.make(genus, [*acc.items(), *(
+        ((j, j + 1), Fraction(ab.get(j, 0) - ab.get(j + 1, 0), 2))
+        for j in {i & ~1 for i in ab})])
 
 
 def ell(w: Word) -> Wedge2:

@@ -177,6 +177,21 @@ def dense_ell_of_letters(genus, letters):
     return acc
 
 
+def sparse_sequence(g, rng):
+    """Unreduced letters on handle g and two other handles, some runs x x^-1
+    among them, with [x_h, y_h] spliced in for a fourth handle h, whose
+    exponent sums end at 0 though its prefix terms do not vanish."""
+    h1, h2, h = rng.sample(range(1, g), 3)
+    gens = [l for j in (g, h1, h2) for l in (2 * j - 1, 2 * j)]
+    seq = []
+    for _ in range(rng.randint(4, 12)):
+        s = rng.choice([1, -1]) * rng.choice(gens)
+        seq += rng.choice([[s], [s, s], [s, -s], [s, -s, s]])
+    i = rng.randint(0, len(seq))
+    seq[i:i] = [2 * h - 1, 2 * h, 1 - 2 * h, -2 * h]
+    return seq
+
+
 class TestSparsePrefixMatchesDenseFold:
     @pytest.mark.parametrize("g", range(1, 13))
     def test_unreduced_sequences(self, g):
@@ -185,6 +200,14 @@ class TestSparsePrefixMatchesDenseFold:
             seq = unreduced_sequence(g, rng)
             assert ell_of_letters(g, seq) == dense_ell_of_letters(g, seq), seq
         assert ell_of_letters(g, []) == dense_ell_of_letters(g, []) == Wedge2.zero(g)
+
+    @pytest.mark.parametrize("g", [50, 200, 1000])
+    def test_sparse_sequences_at_large_genus(self, g):
+        # the own terms are read over the handles the final class touches
+        rng = random.Random(540 + g)
+        for _ in range(10):
+            seq = sparse_sequence(g, rng)
+            assert ell_of_letters(g, seq) == dense_ell_of_letters(g, seq), seq
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_words_and_their_boundary(self, g):
