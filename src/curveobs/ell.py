@@ -47,14 +47,15 @@ def ell(w: Word) -> Wedge2:
     return ell_of_letters(w.genus, w.letters)
 
 
-def _twice_ell_on(letters, z) -> list[int]:
-    """2 ell(w)(z) as ints, for w a letter sequence, reduced or not, and z an
-    int coordinate list, without building ell(w). With e_k the k-th letter's
-    signed basis vector, P_k = e_1 + ... + e_k and q_k = z . P_k, the prefix
-    terms sum_k P_(k-1) ^ e_k of 2 ell(w) send z to
-    sum_k (q_(k-1) + q_k) e_k - q_n |w|; its own terms (c_x - c_y) X_j^Y_j,
-    for c the exponent sums, send z to -(c_x - c_y)(z_x X_j + z_y Y_j)."""
-    out, counts = [0] * len(z), [0] * len(z)
+def _twice_ell_on(letters, c, z) -> list[int]:
+    """2 ell(w)(z) as ints, for w a letter sequence, reduced or not, with
+    class c = |w| from `abelianize` and z an int coordinate list, without
+    building ell(w). With e_k the k-th letter's signed basis vector,
+    P_k = e_1 + ... + e_k and q_k = z . P_k, the prefix terms
+    sum_k P_(k-1) ^ e_k of 2 ell(w) send z to
+    sum_k (q_(k-1) + q_k) e_k - q_n c; its own terms (c_x - c_y) X_j^Y_j
+    send z to -(c_x - c_y)(z_x X_j + z_y Y_j)."""
+    out = [0] * len(z)
     q = 0
     for l in letters:
         k = abs(l) - 1
@@ -63,20 +64,21 @@ def _twice_ell_on(letters, z) -> list[int]:
         dq = s * z[k - 1] if k & 1 else -s * z[k + 1]
         out[k] += s * (2 * q + dq)
         q += dq
-        counts[k] += s
-    return [n - q * c - (counts[i & ~1] - counts[i | 1]) * zi
-            for i, (n, c, zi) in enumerate(zip(out, counts, z))]
+    return [n - q * ci - (c[i & ~1] - c[i | 1]) * zi
+            for i, (n, ci, zi) in enumerate(zip(out, c, z))]
 
 
 def _twice_v(a: Word, za, b: Word, zb) -> list[int]:
-    """2v as ints, for words a and b with letter counts za = |a|, zb = |b|."""
-    return [x + y for x, y in zip(_twice_ell_on(a.letters, zb),
-                                  _twice_ell_on(b.letters, za))]
+    """2v as ints, for words a and b with classes za = |a|, zb = |b|."""
+    return [x + y for x, y in zip(_twice_ell_on(a.letters, za, zb),
+                                  _twice_ell_on(b.letters, zb, za))]
 
 
 def obstruction_vector(a: Word, b: Word) -> HVec:
     """v = ell(a) acting on |b| plus ell(b) acting on |a|, the sum of
-    `reference.act2`: 2v from the letters, over 2."""
+    `reference.act2`: 2v from the letters, over 2. In every coordinate
+    2v = i_A (|a| + |b|) mod 2, for i_A = |a| . |b|, so v is integral exactly
+    when i_A is even, as it is wherever `analyze` builds v (i_A = 0)."""
     check_genus(a, b)
-    return HVec(a.genus, tuple(Fraction(x, 2) for x in _twice_v(
+    return HVec(a.genus, (Fraction(x, 2) for x in _twice_v(
         a, abelianize(a).coords, b, abelianize(b).coords)))

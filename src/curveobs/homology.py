@@ -12,6 +12,7 @@ words, intersection numbers and the lattice decision are ints, and
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 
@@ -56,7 +57,8 @@ def format_terms(terms) -> str:
 class HVec(_Record):
     __slots__ = ("genus", "coords")
 
-    def __init__(self, genus: int, coords: tuple[int | Fraction, ...]):
+    def __init__(self, genus: int, coords: Iterable[int | Fraction]):
+        coords = tuple(coords)
         if len(coords) != 2 * genus:
             raise ValueError("coordinate count must be 2*genus")
         _set(self, "genus", genus)
@@ -70,24 +72,20 @@ class HVec(_Record):
     def basis(cls, genus: int, k: int) -> "HVec":
         coords = [0] * (2 * genus)
         coords[k] = 1
-        return cls(genus, tuple(coords))
-
-    @classmethod
-    def from_coords(cls, genus: int, coords) -> "HVec":
-        return cls(genus, tuple(coords))
+        return cls(genus, coords)
 
     def __add__(self, other: "HVec") -> "HVec":
         check_genus(self, other)
-        return HVec(self.genus, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return HVec(self.genus, (a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HVec") -> "HVec":
         return self + (-other)
 
     def __neg__(self) -> "HVec":
-        return HVec(self.genus, tuple(-a for a in self.coords))
+        return HVec(self.genus, (-a for a in self.coords))
 
     def scale(self, c) -> "HVec":
-        return HVec(self.genus, tuple(c * a for a in self.coords))
+        return HVec(self.genus, (c * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -176,7 +174,7 @@ def abelianize(w: Word) -> HVec:
     counts = [0] * (2 * w.genus)
     for l in w.letters:
         counts[abs(l) - 1] += 1 if l > 0 else -1
-    return HVec(w.genus, tuple(counts))
+    return HVec(w.genus, counts)
 
 
 def _pairing(u, v):

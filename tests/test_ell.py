@@ -1,9 +1,9 @@
 """Tests of `curveobs.ell`: golden values of `ell`, its half-integrality and
-Fraction coefficients, the obstruction vector, and the fold against three
-slower forms (`act2` on the fold's output, the dense fold, and
-`reference.ell_by_theta0`). Acceptance criterion 4 (`test_acceptance.py`)
-checks the product, inverse, conjugation and commutator identities, and
-invariance under inserted trivial pairs.
+Fraction coefficients, the obstruction vector and the parity of 2v, and the
+fold against three slower forms (`act2` on the fold's output, the dense
+fold, and `reference.ell_by_theta0`). Acceptance criterion 4
+(`test_acceptance.py`) checks the product, inverse, conjugation and
+commutator identities, and invariance under inserted trivial pairs.
 """
 
 import random
@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from curveobs.ell import _twice_ell_on, ell, ell_of_letters, obstruction_vector
-from curveobs.homology import HVec, Wedge2, abelianize
+from curveobs.ell import (_twice_ell_on, _twice_v, ell, ell_of_letters,
+                         obstruction_vector)
+from curveobs.homology import (HVec, Wedge2, abelianize, intersection,
+                               is_integral)
 from curveobs.reference import act2, ell_by_theta0, omega, wedge
 from curveobs.words import (Word, boundary_word, generator, parse_word,
                             random_word_rng)
@@ -132,11 +134,33 @@ class TestTwiceEllOn:
         for _ in range(60):
             seq = unreduced_sequence(g, rng)
             z = [rng.randint(-9, 9) for _ in range(2 * g)]
-            got = _twice_ell_on(seq, z)
-            want = act2(ell_of_letters(g, seq), HVec.from_coords(g, z))
+            w_class = abelianize(Word.from_letters(g, seq)).coords
+            got = _twice_ell_on(seq, w_class, z)
+            want = act2(ell_of_letters(g, seq), HVec(g, z))
             assert got == [2 * c for c in want.coords], (seq, z)
             assert all(type(n) is int for n in got)
-        assert _twice_ell_on([], z) == [0] * (2 * g)
+        assert _twice_ell_on([], HVec.zero(g).coords, z) == [0] * (2 * g)
+
+
+class TestTwiceVParity:
+    """2v = i_A (|a| + |b|) mod 2 in every coordinate, so v is integral
+    exactly when i_A is even."""
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_random_pairs(self, g):
+        rng = random.Random(360 + g)
+        parities = set()
+        for _ in range(100):
+            a = random_word_rng(g, rng.randint(0, 12), rng)
+            b = random_word_rng(g, rng.randint(0, 12), rng)
+            abs_a, abs_b = abelianize(a), abelianize(b)
+            i_a = intersection(abs_a, abs_b)
+            twice_v = _twice_v(a, abs_a.coords, b, abs_b.coords)
+            assert all((x - i_a * (p + q)) % 2 == 0 for x, p, q in zip(
+                twice_v, abs_a.coords, abs_b.coords)), (a, b)
+            assert is_integral(obstruction_vector(a, b)) == (i_a % 2 == 0)
+            parities.add(i_a % 2)
+        assert parities == {0, 1}
 
 
 class TestObstructionVectorMatchesAct2:

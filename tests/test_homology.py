@@ -74,10 +74,10 @@ class TestIntersection:
         rng = random.Random(1)
         for _ in range(200):
             g = rng.randint(1, 3)
-            u = HVec.from_coords(g, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                     for _ in range(2 * g)])
-            v = HVec.from_coords(g, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                     for _ in range(2 * g)])
+            u = HVec(g, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(2 * g)])
+            v = HVec(g, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(2 * g)])
             assert intersection(u, u) == 0
             assert intersection(u, v) == -intersection(v, u)
 
@@ -183,7 +183,7 @@ class TestLatticeMember:
                              ids=[row[0] for row in TABLE])
     def test_witness_table(self, case, v, u1, u2, want):
         g = len(v) // 2
-        got = lattice_member(*(HVec.from_coords(g, x) for x in (v, u1, u2)))
+        got = lattice_member(*(HVec(g, x) for x in (v, u1, u2)))
         assert (got.member, got.m, got.n) == want
 
     def _random_instances(self, count, seed):
@@ -202,9 +202,8 @@ class TestLatticeMember:
             if rng.random() < 0.4:
                 v = u1.scale(rng.randint(-8, 8)) + u2.scale(rng.randint(-8, 8))
             else:
-                v = HVec.from_coords(
-                    g, [Fraction(rng.randint(-8, 8), rng.choice([1, 1, 2]))
-                        for _ in range(2 * g)])
+                v = HVec(g, [Fraction(rng.randint(-8, 8), rng.choice([1, 1, 2]))
+                             for _ in range(2 * g)])
             yield v, u1, u2
 
     def test_matches_bruteforce_oracle(self):
@@ -298,7 +297,7 @@ class TestRecords:
     value, copyable."""
 
     def test_hvec_equality_and_hash(self):
-        v = HVec.from_coords(2, [1, 0, Fraction(1, 2), -3])
+        v = HVec(2, [1, 0, Fraction(1, 2), -3])
         assert v == HVec(genus=2, coords=(1, 0, Fraction(1, 2), -3))
         assert hash(v) == hash(hv(2, X1=1, X2=Fraction(1, 2), Y2=-3))
         assert v != -v and v != HVec.zero(2)
@@ -321,13 +320,13 @@ class TestRecords:
 
     def test_built_vectors_hold_abelianize_ints(self):
         # one representation: the constructors and scale keep the int
-        # coordinates abelianize builds, and from_coords keeps what it gets
+        # coordinates abelianize builds, and HVec keeps what it gets as a tuple
         x1 = abelianize(parse_word("x1", 2))
         assert repr(HVec.zero(2)) == repr(abelianize(Word.identity(2)))
         assert repr(HVec.basis(2, 0)) == repr(x1)
         assert [type(c) for c in x1.scale(2).coords] == [int] * 4
         coords = (1, Fraction(1, 2))
-        assert repr(HVec.from_coords(1, coords)) == repr(HVec(1, coords))
+        assert repr(HVec(1, list(coords))) == repr(HVec(1, coords))
 
     def test_repr(self):
         assert repr(hv(2, X1=1, Y2=Fraction(-1, 2))) == (

@@ -19,7 +19,8 @@ import pytest
 
 from curveobs import cli
 from curveobs.ell import ell
-from curveobs.homology import HVec, Wedge2, abelianize, intersection
+from curveobs.homology import (HVec, Wedge2, abelianize, intersection,
+                               is_integral)
 from curveobs.obstruction import (VERDICT_HOMOLOGICAL, VERDICT_INCONCLUSIVE,
                                   VERDICT_THEOREM, Report, analyze,
                                   twist_consistency)
@@ -217,6 +218,12 @@ class TestSmallBox:
         assert len(reps) == 65 * 65
         assert sum(r.i_A == 0 for r in reps) == 1665
         assert sum(r.verdict == VERDICT_THEOREM for r in reps) == 160
+
+    def test_v_is_integral(self, box):
+        # 2v = i_A (|a| + |b|) mod 2, and analyze builds v only at i_A = 0
+        for pair, rep in box.items():
+            if rep.i_A == 0:
+                assert is_integral(rep.v), pair
 
     def test_swapping_the_curves(self, box):
         for (a, b), rep in box.items():

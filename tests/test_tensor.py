@@ -501,8 +501,8 @@ def small_rational(rng):
 
 
 def sparse_hvec(genus, rng):
-    return HVec.from_coords(genus, [small_rational(rng) if rng.random() < 0.5
-                                    else 0 for _ in range(2 * genus)])
+    return HVec(genus, [small_rational(rng) if rng.random() < 0.5
+                        else 0 for _ in range(2 * genus)])
 
 
 def sparse_wedge2(genus, rng):
@@ -524,7 +524,7 @@ def int_datum(genus, rng):
     coords = [0] * n
     for i, p in h:
         coords[i] = Fraction(p, d)
-    return ((h, e, d), HVec.from_coords(genus, coords),
+    return ((h, e, d), HVec(genus, coords),
             Wedge2.make(genus, [((i, j), Fraction(q, d)) for i, j, q in e]))
 
 
@@ -734,7 +734,7 @@ class TestTwistOnDemand:
         for _ in range(12):
             datum, ha, ea = int_datum(g, rng)
             L, c = L_theta(ha, ea), rank_one_coefficients(ha).coords
-            v = HVec.from_coords(g, [rational_1_to_6(rng) for _ in range(n)])
+            v = HVec(g, [rational_1_to_6(rng) for _ in range(n)])
             w = Wedge2.make(g, [((rng.randrange(n), rng.randrange(n)),
                                  rational_1_to_6(rng))])
             u = rational_tensor(g, rng, 2)

@@ -23,9 +23,8 @@ X1, Y1, X2, Y2 = 0, 1, 2, 3
 
 
 def rand_hvec(genus, rng):
-    return HVec.from_coords(
-        genus,
-        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * genus)])
+    return HVec(genus, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(2 * genus)])
 
 
 def basis(genus, k):
