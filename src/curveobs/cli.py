@@ -19,8 +19,7 @@ from . import __version__
 from .ell import ell
 from .homology import abelianize, basis_label
 from .obstruction import TWIST_DEN, analyze, twist_consistency
-from .words import (WordError, _bounded_int, _shown, format_word,
-                    parse_genus, parse_word)
+from .words import MAX_GENUS, WordError, format_word, parse_word, read_int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,27 +31,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _genus(text: str) -> int:
-    try:
-        return parse_genus(text)
-    except WordError as exc:  # argparse prints only 'invalid _genus value'
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_option(name: str, limit: int):
-    """An argparse type that reads an int by the genus field's rule: ASCII
+def _field(name: str, lo: int, hi: int):
+    """An argparse type that reads an int option by `words.read_int`: ASCII
     digits after an optional sign, where int() also reads '_' and the digits
-    of other scripts; at most `limit` in absolute value."""
+    of other scripts; in lo..hi."""
     def parse(text: str) -> int:
         try:
-            n = _bounded_int(text.strip(), limit)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{name} {_shown(text)} is not an integer") from None
-        if n is None or abs(n) > limit:
-            raise argparse.ArgumentTypeError(
-                f"{name} {_shown(text)} out of range -{limit}..{limit}")
-        return n
+            return read_int(text, name, lo, hi)
+        except WordError as exc:  # argparse prints only 'invalid parse value'
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
@@ -68,9 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"curveobs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    genus = _field("genus", 1, MAX_GENUS)
 
     p_an = sub.add_parser("analyze", help="full obstruction report for a pair")
-    p_an.add_argument("--genus", type=_genus, help="required without --pairs")
+    p_an.add_argument("--genus", type=genus, help="required without --pairs")
     p_an.add_argument("--a", dest="word_a", help="first word")
     p_an.add_argument("--b", dest="word_b", help="second word")
     p_an.add_argument("--pairs", help="batch file: one 'genus<TAB>a<TAB>b' per "
@@ -80,20 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tw = sub.add_parser("twist-check",
                           help="degree-2 twist identity cross-check for a pair")
-    p_tw.add_argument("--genus", type=_genus, required=True)
+    p_tw.add_argument("--genus", type=genus, required=True)
     p_tw.add_argument("--a", dest="word_a", required=True)
     p_tw.add_argument("--b", dest="word_b", required=True)
     p_tw.add_argument("--format", choices=["text", "json"], default="text")
 
     p_ev = sub.add_parser("eval", help="homology class and invariant of a word")
-    p_ev.add_argument("--genus", type=_genus, required=True)
+    p_ev.add_argument("--genus", type=genus, required=True)
     p_ev.add_argument("word")
     p_ev.add_argument("--format", choices=["text", "json"], default="text")
 
     p_st = sub.add_parser("selftest",
                           help="run the ten acceptance criteria at a seed")
-    p_st.add_argument("--seed", type=_int_option("seed", 10**18), default=0)
-    p_st.add_argument("--iterations", type=_int_option("iterations", 10**6),
+    p_st.add_argument("--seed", type=_field("seed", -10**18, 10**18),
+                      default=0)
+    p_st.add_argument("--iterations", type=_field("iterations", 1, 10**6),
                       default=1)
     return parser
 
@@ -119,7 +108,7 @@ def _cmd_analyze(args) -> int:
                     if len(fields) != 3:
                         raise WordError(
                             f"bad batch line (need genus<TAB>a<TAB>b): {line!r}")
-                    genus = parse_genus(fields[0])
+                    genus = read_int(fields[0], "genus", 1, MAX_GENUS)
                     rep = analyze(genus,
                                   parse_word(fields[1], genus),
                                   parse_word(fields[2], genus))
@@ -186,8 +175,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.iterations < 1:
-        raise WordError("iterations must be >= 1")
     from .selftest import run_selftest  # no other subcommand loads it
     results = run_selftest(args.seed, args.iterations)
     failures = 0

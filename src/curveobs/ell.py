@@ -79,6 +79,6 @@ def obstruction_vector(a: Word, b: Word) -> HVec:
     `reference.act2`: 2v from the letters, over 2. In every coordinate
     2v = i_A (|a| + |b|) mod 2, for i_A = |a| . |b|, so v is integral exactly
     when i_A is even, as it is wherever `analyze` builds v (i_A = 0)."""
-    check_genus(a, b)
+    check_genus(a.genus, b)
     return HVec(a.genus, (Fraction(x, 2) for x in _twice_v(
         a, abelianize(a).coords, b, abelianize(b).coords)))

@@ -75,7 +75,7 @@ class HVec(_Record):
         return cls(genus, coords)
 
     def __add__(self, other: "HVec") -> "HVec":
-        check_genus(self, other)
+        check_genus(self.genus, other)
         return HVec(self.genus, (a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HVec") -> "HVec":
@@ -139,7 +139,7 @@ class _Alternating(_Record):
         return cls(genus, {})
 
     def __add__(self, other):
-        check_genus(self, other)
+        check_genus(self.genus, other)
         return self.make(self.genus, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
@@ -183,7 +183,7 @@ def _pairing(u, v):
 
 
 def intersection(u: HVec, v: HVec) -> int | Fraction:
-    check_genus(u, v)
+    check_genus(u.genus, v)
     return _pairing(u.coords, v.coords)
 
 
@@ -225,8 +225,7 @@ def lattice_member(v: HVec, u1: HVec, u2: HVec) -> LatticeWitness:
     c1[i0] = d and c2[i0] = 0, so v has at most one candidate m1*c1 + n1*c2; a
     remainder of the floor quotients m1, n1 fails the check against v.
     """
-    check_genus(v, u1)
-    check_genus(v, u2)
+    check_genus(v.genus, u1, u2)
     if not (is_integral(u1) and is_integral(u2)):
         raise ValueError("lattice generators must have integer coordinates")
     if not is_integral(v):

@@ -13,7 +13,7 @@ import json
 from .ell import _twice_v, ell, obstruction_vector
 from .homology import (HVec, LatticeWitness, Wedge2, _pairing, abelianize,
                        intersection, lattice_member)
-from .words import Word, _Record, _set, format_word
+from .words import Word, _Record, _set, check_genus, format_word
 
 VERDICT_HOMOLOGICAL = "certified_positive_homological"
 VERDICT_THEOREM = "certified_positive_theorem"
@@ -85,14 +85,8 @@ class Report(_Record):
         return "\n".join(lines)
 
 
-def _check_genus(genus: int, a: Word, b: Word):
-    """Raise ValueError unless both words live at the requested genus."""
-    if a.genus != genus or b.genus != genus:
-        raise ValueError("word genus does not match the requested genus")
-
-
 def analyze(genus: int, a: Word, b: Word) -> Report:
-    _check_genus(genus, a, b)
+    check_genus(genus, a, b)
     abs_a = abelianize(a)
     abs_b = abelianize(b)
     i_a = intersection(abs_a, abs_b)
@@ -136,7 +130,7 @@ def twist_consistency(genus: int, a: Word, b: Word) -> tuple:
     nonzero degree-2 coefficients, sequence a pair of basis indices; expected
     always equal.
     """
-    _check_genus(genus, a, b)
+    check_genus(genus, a, b)
     # the twist path loads on demand: analyze does not need it
     from .expansion import _minus_D, _theta0_nums, bracket
     za, zb = abelianize(a).coords, abelianize(b).coords

@@ -105,7 +105,7 @@ class TruncTensor(_Record):
         return cls(v.genus, maxdeg, {(k,): c for k, c in enumerate(v.coords)})
 
     def _check(self, other: "TruncTensor"):
-        check_genus(self, other)
+        check_genus(self.genus, other)
         if self.maxdeg != other.maxdeg:
             raise ValueError(f"degree-bound mismatch: {self.maxdeg} vs {other.maxdeg}")
 
@@ -171,7 +171,7 @@ class Wedge3(_Alternating):
 
 
 def wedge(u: HVec, v: HVec) -> Wedge2:
-    check_genus(u, v)
+    check_genus(u.genus, v)
     items = []
     for i, a in enumerate(u.coords):
         if a == 0:
@@ -185,7 +185,7 @@ def wedge(u: HVec, v: HVec) -> Wedge2:
 
 def act2(w: Wedge2, z: HVec) -> HVec:
     """(X^Y)(Z) = (Z.X)Y - (Z.Y)X, extended bilinearly."""
-    check_genus(w, z)
+    check_genus(w.genus, z)
     check_indices(w.genus, w.terms)
     out = [Fraction(0)] * (2 * w.genus)
     for (i, j), c in w.terms.items():
@@ -195,7 +195,7 @@ def act2(w: Wedge2, z: HVec) -> HVec:
 
 
 def wedge3(u: HVec, w: Wedge2) -> Wedge3:
-    check_genus(u, w)
+    check_genus(u.genus, w)
     items = []
     for i, a in enumerate(u.coords):
         if a == 0:
@@ -207,7 +207,7 @@ def wedge3(u: HVec, w: Wedge2) -> Wedge3:
 
 def act3(t: Wedge3, z: HVec) -> Wedge2:
     """(X^u)(Z) = (Z.X)u - X^(u(Z)) for u in degree two, extended linearly."""
-    check_genus(t, z)
+    check_genus(t.genus, z)
     out = Wedge2.zero(t.genus)
     for (i, j, k), c in t.terms.items():
         pair = Wedge2.make(t.genus, [((j, k), c)])
@@ -225,8 +225,7 @@ def _pair_with_basis(z: HVec, i: int) -> Fraction:
 
 def omega(genus: int) -> Wedge2:
     """Sum of X_j ^ Y_j; the image of the boundary class."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
+    check_genus(genus)
     return Wedge2.make(genus, [((2 * j, 2 * j + 1), 1) for j in range(genus)])
 
 
@@ -277,7 +276,7 @@ def _derivation(h: TruncTensor):
         tails.sort(key=_degree)
 
     def apply(u: TruncTensor) -> TruncTensor:
-        check_genus(h, u)
+        check_genus(h.genus, u)
         D = u.maxdeg
         out: dict[tuple[int, ...], int] = {}
         for s, c in u.nums.items():

@@ -25,13 +25,16 @@ _GENUS_DIGITS = len(str(MAX_GENUS))
 
 
 class WordError(ValueError):
-    """Invalid word input: bad token, bad index, genus mismatch."""
+    """Invalid input: bad token, bad index, number out of range, genus mismatch."""
 
 
-def check_genus(x, y, error=ValueError):
-    """Raise `error` unless x and y live on surfaces of the same genus."""
-    if x.genus != y.genus:
-        raise error(f"genus mismatch: {x.genus} vs {y.genus}")
+def check_genus(genus: int, *records):
+    """The one genus check: WordError unless `genus` is in 1..MAX_GENUS and
+    every record given (a word, class or form) lives at it."""
+    _in_range("genus", genus, 1, MAX_GENUS)
+    for r in records:
+        if r.genus != genus:
+            raise WordError(f"genus mismatch: {genus} vs {r.genus}")
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -79,8 +82,7 @@ class Word(_Record):
     __slots__ = ("genus", "letters")
 
     def __init__(self, genus: int, letters: tuple[int, ...]):
-        if genus < 1:
-            raise WordError(f"genus must be >= 1, got {genus}")
+        check_genus(genus)
         n = 2 * genus
         for l in letters:
             if l == 0 or abs(l) > n:
@@ -100,7 +102,7 @@ class Word(_Record):
         return cls(genus, ())
 
     def __mul__(self, other: "Word") -> "Word":
-        check_genus(self, other, WordError)
+        check_genus(self.genus, other)
         return Word.from_letters(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "Word":
@@ -128,6 +130,7 @@ def generator(genus: int, kind: str, index: int, sign: int = 1) -> Word:
 
 def boundary_word(genus: int) -> Word:
     """The boundary class: the product of the commutators [x_j, y_j]."""
+    check_genus(genus)  # before its 4g letters are built
     return Word(genus, tuple(l for j in range(1, genus + 1)
                              for l in (2 * j - 1, 2 * j, 1 - 2 * j, -2 * j)))
 
@@ -281,15 +284,26 @@ def _shown(token: str) -> str:
     return f"{token[:12]!r}... ({len(token)} characters)"
 
 
-def parse_genus(text: str) -> int:
-    """A genus field of input text; the range checks are parse_word's."""
+def read_int(text: str, name: str, lo: int, hi: int) -> int:
+    """The number field `text` (a batch genus field or a CLI option), ASCII
+    digits after an optional sign, blanks around them allowed; WordError
+    unless it is an integer in lo..hi."""
     try:
-        genus = _bounded_int(text.strip(), MAX_GENUS)
+        # up to 20 significant digits, as many as `_shown` prints, are read
+        # and named by their value; a longer number is past every range
+        n = _bounded_int(text.strip(), 10**19)
     except ValueError:
-        raise WordError(f"genus {_shown(text)} is not an integer") from None
-    if genus is None:
-        raise WordError(f"genus {_shown(text)} out of range 1..{MAX_GENUS}")
-    return genus
+        raise WordError(f"{name} {_shown(text)} is not an integer") from None
+    return _in_range(name, n, lo, hi, text)
+
+
+def _in_range(name: str, n: int | None, lo: int, hi: int, text: str = "") -> int:
+    """n, if lo <= n <= hi; else WordError naming n, or `text` where n is the
+    None that `_bounded_int` returns for a number too long to read."""
+    if n is None or not lo <= n <= hi:
+        raise WordError(f"{name} {_shown(text) if n is None else n} "
+                        f"out of range {lo}..{hi}")
+    return n
 
 
 def _check_length(n: int):
@@ -298,10 +312,7 @@ def _check_length(n: int):
 
 
 def parse_word(text: str, genus: int) -> Word:
-    if genus < 1:
-        raise WordError(f"genus must be >= 1, got {genus}")
-    if genus > MAX_GENUS:
-        raise WordError(f"genus must be <= {MAX_GENUS}, got {genus}")
+    check_genus(genus)
     if re.fullmatch(r"[\s*]*", text):
         raise WordError("empty input (use '1' for the identity)")
     parser = _Parser(text, genus)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import curveobs
 from curveobs import cli, obstruction, selftest, twist_consistency
 from curveobs.cli import _build_parser, main
-from curveobs.words import MAX_GENUS, MAX_LETTERS, MAX_NESTING
+from curveobs.words import (MAX_GENUS, MAX_LETTERS, MAX_NESTING, Word,
+                            WordError, parse_word)
 
 
 def run(capsys, *argv):
@@ -234,10 +237,13 @@ class TestInputLimits:
         assert err.startswith("error:") and str(MAX_LETTERS) in err
 
     def test_genus_past_the_limit_is_an_input_error(self, capsys):
-        code, _, err = run(capsys, "eval", "--genus", str(MAX_GENUS + 1), "x1")
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert str(MAX_GENUS) in err
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--genus", str(MAX_GENUS + 1), "x1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.endswith("eval: error: argument --genus: genus "
+                            f"{MAX_GENUS + 1} out of range 1..{MAX_GENUS}\n")
 
     def test_genus_at_the_limit_is_accepted(self, capsys):
         code, out, _ = run(capsys, "eval", "--genus", str(MAX_GENUS), "x1")
@@ -252,8 +258,8 @@ class TestInputLimits:
         assert code == 1
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert lines[0] == {"line": 1,
-                            "error": f"genus must be <= {MAX_GENUS}, "
-                                     f"got {MAX_GENUS + 1}"}
+                            "error": f"genus {MAX_GENUS + 1} out of range "
+                                     f"1..{MAX_GENUS}"}
         assert lines[1]["verdict"] == "certified_positive_homological"
 
     # past Python's 4300-digit int() limit, whose error names no token
@@ -329,6 +335,35 @@ class TestInputLimits:
                             "error": f"genus {genus!r} is not an integer"}
         assert len(lines) == len(self.NOT_ASCII_INTS) + 1
         assert lines[-1]["verdict"] == "certified_positive_homological"
+
+    # one fault, one text: an out-of-range genus is named alike by --genus,
+    # the batch field, and, where int() reads it, parse_word and Word
+    @pytest.mark.parametrize("text,n", [
+        ("0", 0), ("-1", -1), ("-0", 0), (str(MAX_GENUS + 1), MAX_GENUS + 1),
+        ("99999", 99999), ("1" * LONG, None),
+    ], ids=["0", "-1", "-0", "limit+1", "99999", "5000-digits"])
+    def test_out_of_range_genus_has_one_message(self, capsys, tmp_path,
+                                                text, n):
+        shown = f"{'1' * 12!r}... ({self.LONG} characters)" if n is None else n
+        message = f"genus {shown} out of range 1..{MAX_GENUS}"
+        for command in (["eval", "x1"], ["analyze", "--a", "x1", "--b", "y1"],
+                        ["twist-check", "--a", "x1", "--b", "x1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command[0], "--genus", text, *command[1:]])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert err.endswith(f"error: argument --genus: {message}\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{text}\tx1\ty1\n")
+        code, out, _ = run(capsys, "analyze", "--pairs", str(pairs))
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": message}
+        if n is not None:
+            for build in (lambda: parse_word("x1", n), lambda: Word(n, ())):
+                with pytest.raises(WordError) as exc:
+                    build()
+                assert str(exc.value) == message
 
 
 class TestTwistCheck:
@@ -419,8 +454,9 @@ class TestSelftest:
         assert "FAIL" not in out1
 
     def test_bad_iterations(self, capsys):
-        code, _, err = run(capsys, "selftest", "--iterations", "0")
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--iterations", "0"])
+        assert exc.value.code == 1
 
     # --seed and --iterations are read as a genus field is: int() would take
     # '1_0' as 10 and the digits of other scripts
@@ -444,6 +480,23 @@ class TestSelftest:
         assert "argument --seed: seed '999999999999'... (5000 characters) " \
             "out of range" in err
 
+    @pytest.mark.parametrize("option,token,bounds", [
+        ("--iterations", "0", "1..1000000"),
+        ("--iterations", "-1", "1..1000000"),
+        ("--iterations", "1000001", "1..1000000"),
+        ("--seed", str(10**18 + 1), f"{-10**18}..{10**18}"),
+        ("--seed", str(-10**18 - 1), f"{-10**18}..{10**18}"),
+    ])
+    def test_int_options_out_of_range_are_usage_errors(self, capsys, option,
+                                                       token, bounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", option, token])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.endswith(f"error: argument {option}: {option[2:]} {token} "
+                            f"out of range {bounds}\n")
+
     def test_int_options_read_sign_and_leading_zeros(self):
         args = _build_parser().parse_args(
             ["selftest", "--seed", "-0012", "--iterations", "+3"])
@@ -463,6 +516,26 @@ class TestSelftest:
         assert f"FAIL {name}: a = x1, b = y1" in lines
         assert sum(l.startswith("PASS ") for l in lines) == len(criteria) - 1
         assert lines[-1].startswith(f"{len(criteria) - 1}/{len(criteria)} ")
+
+
+def test_readme_cli_lines_exit_0(capsys, tmp_path, monkeypatch):
+    """Every `curveobs ...` line of the README's sh blocks runs through
+    `main` with exit 0; the `--pairs` line reads a one-line pairs.tsv."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    lines = [l for b in blocks for l in b.splitlines()
+             if l.startswith("curveobs ")]
+    assert {shlex.split(l)[1] for l in lines} == {
+        "analyze", "twist-check", "eval", "selftest", "--version"}
+    (tmp_path / "pairs.tsv").write_text("2\tx1 x2 y2 x2^-1\ty2 x1^-1\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        try:
+            code = main(shlex.split(line)[1:])
+        except SystemExit as exc:  # --version exits through argparse
+            code = exc.code
+        assert code == 0, (line, capsys.readouterr().err)
 
 
 class TestImportFootprint:

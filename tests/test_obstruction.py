@@ -32,8 +32,9 @@ from curveobs.words import (Word, parse_word, random_word_rng,
 from test_words import COPIES, assert_copied, assert_frozen
 
 X1 = 0
-# what analyze and twist_consistency raise for a word of another genus
-GENUS_MISMATCH = "word genus does not match the requested genus"
+# what analyze and twist_consistency raise for a word of genus 1 where
+# genus 2 is requested: the requested genus, then the word's
+GENUS_MISMATCH = "genus mismatch: 2 vs 1"
 
 
 class TestAnalyze:

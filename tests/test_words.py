@@ -19,6 +19,8 @@ from curveobs.words import (MAX_GENUS, MAX_LETTERS, Word, WordError,
                             parse_word, random_commutator_element_rng,
                             random_letters, random_word_rng, reduce_letters)
 from curveobs.homology import abelianize
+from curveobs.obstruction import analyze
+from curveobs.reference import omega
 
 
 def L(*names):
@@ -118,10 +120,10 @@ class TestParse:
         ("[x1 x2]", 2, "expected ',' inside commutator bracket"),
         ("2", 1, "unexpected token '2'"),
         ("^2", 1, "unexpected token '^'"),
-        # parse_word's own genus check, for callers that skip parse_genus
-        ("x1", 0, "genus must be >= 1, got 0"),
+        # parse_word's own genus check, for callers that skip read_int
+        ("x1", 0, f"genus 0 out of range 1..{MAX_GENUS}"),
         ("x1", MAX_GENUS + 1,
-         f"genus must be <= {MAX_GENUS}, got {MAX_GENUS + 1}"),
+         f"genus {MAX_GENUS + 1} out of range 1..{MAX_GENUS}"),
     ])
     def test_error_messages(self, text, genus, message):
         with pytest.raises(WordError) as exc:
@@ -255,6 +257,16 @@ class TestBoundary:
         with pytest.raises(WordError):
             boundary_word(0)
 
+    def test_genus_past_the_cap_is_refused_before_the_letters(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match="out of range"):
+                boundary_word(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestReduction:
     @given(st.integers(1, 3), st.data())
@@ -360,7 +372,7 @@ class TestRecord:
         assert_copied(parse_word("x1 y2^3 [x1, y1]", 2), copier)
 
     @pytest.mark.parametrize("genus, letters, message", [
-        (0, (), "genus must be >= 1, got 0"),
+        (0, (), f"genus 0 out of range 1..{MAX_GENUS}"),
         (1, (3,), "letter 3 out of range for genus 1"),
         (1, (0,), "letter 0 out of range for genus 1"),
         (2, (-5,), "letter -5 out of range for genus 2"),
@@ -370,6 +382,22 @@ class TestRecord:
         with pytest.raises(WordError) as exc:
             Word(genus, letters)
         assert str(exc.value) == message
+
+    # MAX_GENUS binds every entry point, not only the parser and the CLI
+    @pytest.mark.parametrize("build,genus", [
+        (Word.identity, 0),
+        (lambda g: Word(g, (1,)), MAX_GENUS + 1),
+        (lambda g: Word.from_letters(g, ()), 10**9),
+        (boundary_word, MAX_GENUS + 1),
+        (omega, 0),
+        (lambda g: analyze(g, Word.identity(1), Word.identity(1)),
+         MAX_GENUS + 1),
+    ], ids=["identity", "init", "from_letters", "boundary_word", "omega",
+            "analyze"])
+    def test_genus_past_the_cap_is_refused(self, build, genus):
+        with pytest.raises(WordError) as exc:
+            build(genus)
+        assert str(exc.value) == f"genus {genus} out of range 1..{MAX_GENUS}"
 
     def test_missing_or_unknown_field(self):
         with pytest.raises(TypeError):
